@@ -33,16 +33,14 @@ from .scalars import (
     TRIVIAL_TWIST,
     TwistTag,
     halfint_ceil,
-    twist_merge,
 )
-from .segments import Segment, segment_dual, segment_e, segment_is_strongly_positive
+from .segments import Segment
 from .grothendieck import (
     FormalSum,
     GLMonomial,
     GUClass,
     TensorTerm,
     gl_multiply,
-    sum_add,
     sum_to_obj,
     tensor_multiply,
     term_to_obj,
@@ -55,7 +53,6 @@ from .structure import (
     mstar_gl,
     mu_star,
     mu_star_of_segments,
-    multiplicity,
     twisted_rtimes,
 )
 from .weyl import (

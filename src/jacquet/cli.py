@@ -43,18 +43,33 @@ from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
 __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]
 
 
+def _declared(path: str, data: dict, section: str) -> list:
+    """The ``section`` entries of a declarations document, schema-checked."""
+    entries = data.get(section, [])
+    if not isinstance(entries, list):
+        raise JacquetError(f"{path}: {section!r} must be a list of objects")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise JacquetError(
+                f"{path}: {section}[{i}] must be an object with a string 'name'"
+            )
+    return entries
+
+
 def load_declarations(path: str) -> LabelRegistry:
     """Read a declarations JSON file into a fresh registry."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise JacquetError(f"{path}: the top level must be a JSON object")
     registry = LabelRegistry()
-    for entry in data.get("gl", ()):
+    for entry in _declared(path, data, "gl"):
         registry.declare_gl(
             entry["name"],
             int(entry.get("dim", 1)),
             bool(entry.get("conj_self_dual", True)),
         )
-    for entry in data.get("gu", ()):
+    for entry in _declared(path, data, "gu"):
         reducibility = {
             registry.gl(name): HalfInt(str(value))
             for name, value in entry.get("reducibility", {}).items()
@@ -120,14 +135,17 @@ def _emit(args, obj: dict, text_lines) -> None:
             print(line)
 
 
-def _sum_report(args, command: str, expr: Expression, result: FormalSum) -> None:
-    obj = {
-        "command": command,
-        "group": getattr(args, "group", "GU"),
-        "input": format_expression(expr),
-        "terms": sum_to_obj(result),
-    }
-    lines = [f"{command} of {format_expression(expr)} [{obj['group']}]:"]
+def _sum_report(args, command: str, expr: Expression, result: FormalSum,
+                shape=None) -> None:
+    """Print ``result``; a ``shape`` goes into the JSON and the header."""
+    text = format_expression(expr)
+    obj = {"command": command, "group": getattr(args, "group", "GU"), "input": text}
+    header = f"{command} of {text} [{obj['group']}]:"
+    if shape is not None:
+        obj["shape"] = list(shape)
+        header = f"{command} module of {text} along {list(shape)}:"
+    obj["terms"] = sum_to_obj(result)
+    lines = [header]
     for term, mult in result.sorted_items():
         prefix = "" if mult == 1 else f"{mult}*"
         lines.append(f"  {prefix}{term}")
@@ -137,7 +155,7 @@ def _sum_report(args, command: str, expr: Expression, result: FormalSum) -> None
 
 def _cmd_mustar(args) -> int:
     gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu, _mode(args))
+    expr = parse_expression(args.expr, gl, gu)
     if expr.gu_anchor is None:
         raise JacquetError("mustar needs an anchored expression 'glpart |x| sigma'")
     result = mu_star(expr.gu_class(), _mode(args))
@@ -155,30 +173,18 @@ def _cmd_mstar(args) -> int:
 
 def _cmd_jacquet(args) -> int:
     gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu, _mode(args))
+    expr = parse_expression(args.expr, gl, gu)
     if expr.gu_anchor is None:
         raise JacquetError("jacquet needs an anchored expression 'glpart |x| sigma'")
     shape = _parse_shape(args.shape)
     result = jacquet_by_shape(expr.gu_class(), shape, _mode(args))
-    obj = {
-        "command": "jacquet",
-        "group": args.group,
-        "input": format_expression(expr),
-        "shape": list(shape),
-        "terms": sum_to_obj(result),
-    }
-    lines = [f"jacquet module of {format_expression(expr)} along {list(shape)}:"]
-    for term, mult in result.sorted_items():
-        prefix = "" if mult == 1 else f"{mult}*"
-        lines.append(f"  {prefix}{term}")
-    lines.append(f"  ({len(result)} terms)")
-    _emit(args, obj, lines)
+    _sum_report(args, "jacquet", expr, result, shape)
     return 0
 
 
 def _cmd_mult(args) -> int:
     gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu, _mode(args))
+    expr = parse_expression(args.expr, gl, gu)
     if expr.gu_anchor is None:
         raise JacquetError("mult needs an anchored expression 'glpart |x| sigma'")
     shape = _parse_shape(args.shape)

@@ -19,14 +19,13 @@ Errors carry line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ExpressionError, SegmentError, UnknownLabelError
 from .grothendieck import GLMonomial, GUClass, TensorTerm
 from .scalars import GUCuspidalLabel, HalfInt, TRIVIAL_TWIST
 from .segments import Segment
-from .structure import GroupMode
 
 __all__ = ["Expression", "parse_expression", "parse_tensor_target",
            "format_expression"]
@@ -38,7 +37,6 @@ class Expression:
 
     gl_part: tuple
     gu_anchor: Optional[GUCuspidalLabel]
-    mode: GroupMode = field(default=GroupMode.GU, compare=False)
 
     def gu_class(self) -> GUClass:
         if self.gu_anchor is None:
@@ -202,14 +200,14 @@ class _Parser:
             )
 
 
-def parse_expression(text: str, gl_resolver: Callable, gu_resolver: Callable,
-                     mode: GroupMode = GroupMode.GU) -> Expression:
+def parse_expression(text: str, gl_resolver: Callable,
+                     gu_resolver: Callable) -> Expression:
     """Parse ``glpart ("|x|" IDENT)?`` resolving labels via the callables."""
     p = _Parser(text, gl_resolver, gu_resolver)
     segments = p.glpart()
     anchor = p.anchor()
     p.finish()
-    return Expression(segments, anchor, mode)
+    return Expression(segments, anchor)
 
 
 def parse_tensor_target(text: str, gl_resolver: Callable, gu_resolver: Callable):
@@ -225,7 +223,7 @@ def parse_tensor_target(text: str, gl_resolver: Callable, gu_resolver: Callable)
     return parts, anchor
 
 
-def target_term(parts, anchor, sigma_default=None) -> TensorTerm:
+def target_term(parts, anchor) -> TensorTerm:
     """Assemble the parsed target factors into a tensor term."""
     factors = [GLMonomial(part) for part in parts]
     if anchor is not None:

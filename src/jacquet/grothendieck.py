@@ -15,11 +15,12 @@ concurrently.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import KindMismatchError, TermLimitError
-from .scalars import GUCuspidalLabel, TwistTag, TRIVIAL_TWIST
+from .scalars import GUCuspidalLabel, Keyed, TwistTag, TRIVIAL_TWIST
 from .segments import Segment
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "TensorTerm",
     "FormalSum",
     "Monomial",
-    "sum_add",
     "gl_multiply",
     "tensor_multiply",
     "sum_to_obj",
@@ -49,18 +49,27 @@ def _max_terms() -> int:
         return _DEFAULT_MAX_TERMS
 
 
+_by_key = attrgetter("key")
+
+
 def _canonical_segments(segments: Iterable[Segment]) -> tuple:
-    return tuple(sorted((s for s in segments if not s.is_empty), key=Segment.sort_key))
+    return tuple(sorted((s for s in segments if not s.is_empty), key=_by_key))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GLMonomial:
-    """Commutative product of nonempty segment classes; () is the unit."""
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class GLMonomial(Keyed):
+    """Commutative product of nonempty segment classes; () is the unit.
+
+    ``key`` is the tuple of the segments' keys.
+    """
 
     segments: tuple
+    key: tuple = field(repr=False)
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        object.__setattr__(self, "segments", _canonical_segments(segments))
+        segments = _canonical_segments(segments)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "key", tuple(s.key for s in segments))
 
     @classmethod
     def unit(cls) -> "GLMonomial":
@@ -82,9 +91,6 @@ class GLMonomial:
             return NotImplemented
         return GLMonomial(self.segments + other.segments)
 
-    def sort_key(self):
-        return tuple(s.sort_key() for s in self.segments)
-
     def __str__(self):
         if self.is_unit:
             return "1"
@@ -94,25 +100,31 @@ class GLMonomial:
         return f"GLMonomial({self})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GUClass:
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class GUClass(Keyed):
     """Class of a product of segment classes induced over a cuspidal anchor.
 
     Twist entries for labels the anchor declares twist-fixed are erased at
     construction, so canonical forms never distinguish a twist the anchor
-    absorbs.
+    absorbs.  ``key`` is (segment keys, anchor name, twist key).
     """
 
     segments: tuple
     sigma: GUCuspidalLabel
     twist: TwistTag
+    key: tuple = field(repr=False)
 
     def __init__(self, segments: Iterable[Segment], sigma: GUCuspidalLabel,
                  twist: TwistTag = TRIVIAL_TWIST):
-        object.__setattr__(self, "segments", _canonical_segments(segments))
-        object.__setattr__(self, "sigma", sigma)
+        segments = _canonical_segments(segments)
         fixed = {rho.name for rho in sigma.twist_fixed}
-        object.__setattr__(self, "twist", twist.without(fixed) if fixed else twist)
+        twist = twist.without(fixed) if fixed else twist
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(
+            self, "key", (tuple(s.key for s in segments), sigma.name, twist.key)
+        )
 
     @property
     def rank(self) -> int:
@@ -121,13 +133,6 @@ class GUClass:
     @property
     def gl_rank(self) -> int:
         return sum(s.rank for s in self.segments)
-
-    def sort_key(self):
-        return (
-            tuple(s.sort_key() for s in self.segments),
-            self.sigma.name,
-            self.twist._key(),
-        )
 
     def __str__(self):
         head = " x ".join(str(s) for s in self.segments) if self.segments else "1"
@@ -139,12 +144,13 @@ class GUClass:
         return f"GUClass({self})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TensorTerm:
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class TensorTerm(Keyed):
     """A monomial in a tensor power: a tuple of GL factors, the last
-    optionally a GU class."""
+    optionally a GU class.  ``key`` is the tuple of the factors' keys."""
 
     factors: tuple
+    key: tuple = field(repr=False)
 
     def __init__(self, factors: Iterable):
         factors = tuple(factors)
@@ -155,6 +161,7 @@ class TensorTerm:
             elif not isinstance(f, GLMonomial):
                 raise KindMismatchError(f"invalid tensor factor {f!r}")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "key", tuple(f.key for f in factors))
 
     @property
     def arity(self) -> int:
@@ -163,9 +170,6 @@ class TensorTerm:
     @property
     def has_gu(self) -> bool:
         return bool(self.factors) and isinstance(self.factors[-1], GUClass)
-
-    def sort_key(self):
-        return tuple(f.sort_key() for f in self.factors)
 
     def __str__(self):
         return " (x) ".join(str(f) for f in self.factors)
@@ -210,7 +214,7 @@ class FormalSum:
                 f"formal sum exceeds JACQUET_MAX_TERMS ({_max_terms()} terms)"
             )
         self._terms = data
-        self._kind = kind if data else kind
+        self._kind = kind
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -235,7 +239,7 @@ class FormalSum:
         return self._terms.keys()
 
     def sorted_items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items(), key=lambda kv: kv[0].key)
 
     def coefficient(self, term: Monomial) -> int:
         return self._terms.get(term, 0)
@@ -320,11 +324,6 @@ class FormalSum:
 
     def __repr__(self):
         return f"FormalSum({len(self._terms)} terms)"
-
-
-def sum_add(x: FormalSum, y: FormalSum) -> FormalSum:
-    """Add two sums of the same kind; zero multiplicities are pruned."""
-    return x + y
 
 
 def _as_gl_sum(x) -> FormalSum:

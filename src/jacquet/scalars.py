@@ -11,12 +11,13 @@ declared reducibility points and twist-fixedness.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import LabelConflictError, UnknownLabelError
 
 __all__ = [
+    "Keyed",
     "HalfInt",
     "HALF",
     "halfint_ceil",
@@ -24,10 +25,27 @@ __all__ = [
     "GUCuspidalLabel",
     "TwistTag",
     "TRIVIAL_TWIST",
-    "twist_merge",
     "LabelRegistry",
     "DUAL_MARKER",
 ]
+
+
+class Keyed:
+    """Identity through one stored canonical ``key``, a tuple of str/int.
+
+    Equality, hashing and canonical output order all use ``key``; a
+    subclass computes it once at construction from its parts' keys.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 class HalfInt:
@@ -262,15 +280,16 @@ class GUCuspidalLabel:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class TwistTag:
+class TwistTag(Keyed):
     """Formal product of central-character twists, as a free abelian group element.
 
     Entries are (label name, exponent, accumulated nu-exponent sum); the
-    nu sum is carried for display only and does not enter equality.  The
-    trivial tag is the empty tuple.
+    nu sum is carried for display only and does not enter ``key``, the
+    tuple of (name, exponent) pairs.  The trivial tag is the empty tuple.
     """
 
     entries: tuple = ()
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         merged: dict = {}
@@ -283,6 +302,7 @@ class TwistTag:
             if exp != 0
         )
         object.__setattr__(self, "entries", out)
+        object.__setattr__(self, "key", tuple((n, e) for n, e, _ in out))
 
     @classmethod
     def omega(cls, label: "CuspidalGLLabel | str", nu: HalfInt = HalfInt(0)) -> "TwistTag":
@@ -295,6 +315,7 @@ class TwistTag:
         return not self.entries
 
     def merge(self, other: "TwistTag") -> "TwistTag":
+        """Componentwise sum of twist exponents; zero entries are pruned."""
         if self.is_trivial:
             return other
         if other.is_trivial:
@@ -311,17 +332,6 @@ class TwistTag:
         kept = tuple(e for e in self.entries if e[0] not in names)
         return self if len(kept) == len(self.entries) else TwistTag(kept)
 
-    def _key(self):
-        return tuple((n, e) for n, e, _ in self.entries)
-
-    def __eq__(self, other):
-        if isinstance(other, TwistTag):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __str__(self):
         if self.is_trivial:
             return ""
@@ -335,11 +345,6 @@ class TwistTag:
 
 
 TRIVIAL_TWIST = TwistTag()
-
-
-def twist_merge(t1: TwistTag, t2: TwistTag) -> TwistTag:
-    """Componentwise sum of twist exponents; zero entries are pruned."""
-    return t1.merge(t2)
 
 
 class LabelRegistry:

@@ -9,24 +9,20 @@ implemented literally with no special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SegmentError
-from .scalars import CuspidalGLLabel, HalfInt
+from .scalars import CuspidalGLLabel, HalfInt, Keyed
 
-__all__ = [
-    "Segment",
-    "segment_dual",
-    "segment_e",
-    "segment_is_strongly_positive",
-]
+__all__ = ["Segment"]
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+@dataclass(frozen=True, slots=True, eq=False)
+class Segment(Keyed):
     rho: CuspidalGLLabel
     a: HalfInt
     b: HalfInt
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = self.a if isinstance(self.a, HalfInt) else HalfInt(self.a)
@@ -40,6 +36,7 @@ class Segment:
             )
         if diff < -2:
             raise SegmentError(f"segment bounds {a} > {b} + 1")
+        object.__setattr__(self, "key", (self.rho.name, a.twice, b.twice))
 
     @classmethod
     def empty(cls, rho: CuspidalGLLabel, a: "HalfInt | int" = 0) -> "Segment":
@@ -92,9 +89,6 @@ class Segment:
         """Sum of all exponents in the segment; 0 for the empty segment."""
         return HalfInt.from_twice(self.length * (self.a.twice + self.b.twice) // 2)
 
-    def sort_key(self):
-        return (self.rho.name, self.a.twice, self.b.twice)
-
     def __str__(self):
         if self.is_empty:
             return "1"
@@ -102,15 +96,3 @@ class Segment:
 
     def __repr__(self):
         return f"Segment({self})"
-
-
-def segment_dual(s: Segment) -> Segment:
-    return s.dual()
-
-
-def segment_e(s: Segment) -> HalfInt:
-    return s.center()
-
-
-def segment_is_strongly_positive(s: Segment) -> bool:
-    return s.is_strongly_positive()

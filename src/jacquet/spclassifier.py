@@ -353,7 +353,7 @@ class SPEntry:
 
 
 def _per_label_bounds(labels: Sequence[CuspidalGLLabel], max_b) -> list:
-    if isinstance(max_b, (HalfInt, int)):
+    if isinstance(max_b, (HalfInt, int, str)):
         return [HalfInt(max_b)] * len(labels)
     bounds = [HalfInt(x) for x in max_b]
     if len(bounds) != len(labels):
@@ -362,11 +362,12 @@ def _per_label_bounds(labels: Sequence[CuspidalGLLabel], max_b) -> list:
 
 
 def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
-                 max_b="5", mode: GroupMode = GroupMode.GU,
+                 max_b=5, mode: GroupMode = GroupMode.GU,
                  strict: bool = False) -> list:
     """Enumerate all data over the given labels up to the exponent bound.
 
-    ``max_b`` may be a single bound or one bound per label.  Labels with
+    ``max_b`` may be a single bound (a ``HalfInt``, an int or a literal
+    such as ``"5/2"``) or one bound per label.  Labels with
     reducibility 0 contribute nothing.  Output order is the lexicographic
     product order and is deterministic.
     """

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import SegmentError, ShapeError
+from .errors import KindMismatchError, SegmentError, ShapeError
 from .grothendieck import (
     FormalSum,
     GLMonomial,
@@ -36,7 +36,7 @@ from .grothendieck import (
     TensorTerm,
     tensor_multiply,
 )
-from .scalars import TwistTag, TRIVIAL_TWIST, GUCuspidalLabel, twist_merge
+from .scalars import TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
 from .segments import Segment
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "mu_star",
     "mu_star_of_segments",
     "jacquet_by_shape",
-    "multiplicity",
 ]
 
 
@@ -178,10 +177,18 @@ def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
         omega = None
         if mode is GroupMode.GU and pi1.segments:
             omega = _omega_of(pi1)
+        # One merged tag per distinct anchor tag, shared by its terms; keyed
+        # by the entries, since tags with equal keys may carry other nu sums.
+        twists: dict = {}
         for tt, ct in t.items():
             pi4, anchor = tt.factors
             gl = GLMonomial(dual1.segments + pi2.segments + pi4.segments)
-            twist = anchor.twist if omega is None else twist_merge(anchor.twist, omega)
+            if omega is None:
+                twist = anchor.twist
+            else:
+                twist = twists.get(anchor.twist.entries)
+                if twist is None:
+                    twist = twists[anchor.twist.entries] = anchor.twist.merge(omega)
             gu = GUClass(pi3.segments + anchor.segments, anchor.sigma, twist)
             term = TensorTerm((gl, gu))
             out[term] = out.get(term, 0) + cm * ct
@@ -246,8 +253,3 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             t = TensorTerm(parts + (gu,))
             out[t] = out.get(t, 0) + c * c2
     return FormalSum(out)
-
-
-def multiplicity(s: FormalSum, term) -> int:
-    """Coefficient of the canonical form of ``term`` in ``s`` (0 if absent)."""
-    return s.coefficient(term)

@@ -29,6 +29,7 @@ from .errors import (
     LeviActionError,
     NonBijectionError,
 )
+from .structure import GroupMode
 
 __all__ = [
     "SignedPermutation",
@@ -370,7 +371,8 @@ class LeviBlock:
         return f"{self.label}{marks}"
 
 
-def levi_action(w: SignedPermutation, blocks, anchor: str = "h", mode="GU"):
+def levi_action(w: SignedPermutation, blocks, anchor: str = "h",
+                mode: "GroupMode | str" = GroupMode.GU):
     """Conjugate a block tuple by ``w``.
 
     ``blocks`` are the GL blocks in source order; the anchor occupies the
@@ -378,9 +380,13 @@ def levi_action(w: SignedPermutation, blocks, anchor: str = "h", mode="GU"):
     contiguous run of slots with a uniform sign: ascending for sign +,
     descending (the transpose reversal) for sign -, which toggles the dual
     mark and, in GU mode, the twist mark (U mode never marks a twist).
+    ``mode`` is a ``GroupMode`` or its value ``"GU"``/``"U"``.
     Returns the blocks in target order plus the anchor.
     """
-    gu_twist = str(getattr(mode, "value", mode)).upper() != "U"
+    try:
+        gu_twist = GroupMode(mode) is GroupMode.GU
+    except ValueError:
+        raise LeviActionError(f"unknown group mode {mode!r}") from None
     blocks = tuple(blocks)
     if any(b.size < 1 for b in blocks):
         raise LeviActionError("GL blocks must have positive size")

@@ -231,6 +231,24 @@ class TestCommands:
         assert main(["mustar", "d(2,1@rho) |x| sigma"]) == 1
         assert main(["jacquet", "d(1,1@rho) |x| sigma", "--shape", "5"]) == 1
 
+    @pytest.mark.parametrize("doc", [
+        [{"name": "rho"}],
+        {"gl": [{"dim": 1}]},
+        {"gl": [{"name": 3}]},
+        {"gl": {"name": "rho"}},
+        {"gl": ["rho"]},
+        {"gl": [{"name": "rho"}], "gu": [{"rank": 0}]},
+    ])
+    def test_malformed_declarations(self, doc, tmp_path, capsys):
+        path = tmp_path / "decls.json"
+        path.write_text(json.dumps(doc))
+        code = main(["enum-sp", "--decls", str(path), "--sigma", "sigma",
+                     "--rhos", "rho"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0]
+
     def test_errors_go_to_stderr(self, capsys):
         main(["mustar", "d(2,1@rho) |x| sigma"])
         captured = capsys.readouterr()

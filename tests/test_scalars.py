@@ -15,7 +15,6 @@ from jacquet import (
     TwistTag,
     UnknownLabelError,
     halfint_ceil,
-    twist_merge,
 )
 from helpers import h
 
@@ -87,17 +86,17 @@ twist_entries = st.lists(
 class TestTwistTag:
     def test_inverse_cancels(self):
         t = TwistTag.omega("rho", h(2))
-        assert twist_merge(t, t.inverse()) == TRIVIAL_TWIST
+        assert t.merge(t.inverse()) == TRIVIAL_TWIST
 
     def test_identity(self):
         t = TwistTag.omega("rho")
-        assert twist_merge(TRIVIAL_TWIST, t) == t
-        assert twist_merge(t, TRIVIAL_TWIST) == t
+        assert TRIVIAL_TWIST.merge(t) == t
+        assert t.merge(TRIVIAL_TWIST) == t
 
     def test_two_labels(self):
         rho, rho2 = CuspidalGLLabel("rho"), CuspidalGLLabel("rho2")
-        merged = twist_merge(TwistTag.omega(rho), TwistTag.omega(rho2))
-        assert merged._key() == (("rho", 1), ("rho2", 1))
+        merged = TwistTag.omega(rho).merge(TwistTag.omega(rho2))
+        assert merged.key == (("rho", 1), ("rho2", 1))
 
     def test_zero_exponents_pruned(self):
         t = TwistTag((("a", 1, h(2)), ("a", -1, h(0))))
@@ -109,16 +108,16 @@ class TestTwistTag:
 
     @given(twist_entries, twist_entries)
     def test_commutative(self, t1, t2):
-        assert twist_merge(t1, t2) == twist_merge(t2, t1)
+        assert t1.merge(t2) == t2.merge(t1)
 
     @given(twist_entries, twist_entries, twist_entries)
     def test_associative(self, t1, t2, t3):
-        assert twist_merge(twist_merge(t1, t2), t3) == twist_merge(t1, twist_merge(t2, t3))
+        assert t1.merge(t2).merge(t3) == t1.merge(t2.merge(t3))
 
     @given(twist_entries)
     def test_group_inverse(self, t):
-        assert twist_merge(t, t.inverse()) == TRIVIAL_TWIST
-        assert twist_merge(TRIVIAL_TWIST, t) == t
+        assert t.merge(t.inverse()) == TRIVIAL_TWIST
+        assert TRIVIAL_TWIST.merge(t) == t
 
 
 class TestLabels:

@@ -8,9 +8,6 @@ from jacquet import (
     HalfInt,
     Segment,
     SegmentError,
-    segment_dual,
-    segment_e,
-    segment_is_strongly_positive,
 )
 from helpers import h, seg
 
@@ -46,7 +43,7 @@ def test_length_and_rank():
 
 def test_dual_example():
     # [nu^1 rho, nu^2 rho] with rho conjugate self-dual
-    assert segment_dual(seg(RHO, 1, 2)) == seg(RHO, -2, -1)
+    assert seg(RHO, 1, 2).dual() == seg(RHO, -2, -1)
 
 
 def test_dual_empty_stays_empty():
@@ -62,22 +59,22 @@ def test_dual_relabels():
 
 
 def test_center_examples():
-    assert segment_e(Segment(RHO, h(1), h(5))) == h(3)  # [1/2, 5/2] -> 3/2
-    assert segment_e(seg(RHO, 4, 4)) == HalfInt(4)
-    assert segment_e(seg(RHO, 1, 2)) == h(3)
+    assert Segment(RHO, h(1), h(5)).center() == h(3)  # [1/2, 5/2] -> 3/2
+    assert seg(RHO, 4, 4).center() == HalfInt(4)
+    assert seg(RHO, 1, 2).center() == h(3)
 
 
 def test_center_of_empty_rejected():
     with pytest.raises(SegmentError):
-        segment_e(Segment.empty(RHO))
+        Segment.empty(RHO).center()
 
 
 def test_strongly_positive():
-    assert segment_is_strongly_positive(Segment(RHO, h(1), h(3)))
-    assert not segment_is_strongly_positive(seg(RHO, 0, 2))
-    assert not segment_is_strongly_positive(seg(RHO, -1, 1))
+    assert Segment(RHO, h(1), h(3)).is_strongly_positive()
+    assert not seg(RHO, 0, 2).is_strongly_positive()
+    assert not seg(RHO, -1, 1).is_strongly_positive()
     with pytest.raises(SegmentError):
-        segment_is_strongly_positive(Segment.empty(RHO))
+        Segment.empty(RHO).is_strongly_positive()
 
 
 def test_exponent_sum():
@@ -111,4 +108,4 @@ def test_dual_preserves_length(s):
 
 @given(segments.filter(lambda s: not s.is_empty))
 def test_dual_negates_center(s):
-    assert segment_e(s.dual()) == -segment_e(s)
+    assert s.dual().center() == -s.center()

@@ -222,6 +222,18 @@ class TestEnumerateSP:
         twos = enumerate_sp([RHO2], s, HalfInt(2))
         assert len(both) == len(ones) * len(twos)
 
+    def test_string_bound(self):
+        assert enumerate_sp([RHO2], SIGMA, "5/2") == \
+            enumerate_sp([RHO2], SIGMA, h(5))
+
+    def test_default_bound_two_labels(self):
+        s = GUCuspidalLabel(
+            "s7", reducibility={RHO: h(1), RHO2: h(1)}, twist_fixed={RHO, RHO2},
+        )
+        entries = enumerate_sp([RHO, RHO2], s)
+        assert entries == enumerate_sp([RHO, RHO2], s, HalfInt(5))
+        assert len(entries) == 6 * 6
+
     def test_empty_label_list(self):
         entries = enumerate_sp([], SIGMA, HalfInt(3))
         assert len(entries) == 1
@@ -310,7 +322,6 @@ class TestPartialCuspidalSupport:
             TensorTerm,
             TRIVIAL_TWIST,
             jacquet_by_shape,
-            multiplicity,
         )
 
         datum = LJDatum(
@@ -325,7 +336,7 @@ class TestPartialCuspidalSupport:
                                                   HalfInt.from_twice(t))]))
         target = TensorTerm(tuple(blocks) + (GUClass([], SIGMA, TRIVIAL_TWIST),))
         out = jacquet_by_shape(rep, shape)
-        assert multiplicity(out, target) == 1
+        assert out.coefficient(target) == 1
 
 
 class TestDatumJSON:

@@ -202,6 +202,11 @@ class TestLeviAction:
         g3 = next(b for b in out if b.label == "g3")
         assert g3.dual and not g3.twisted
 
+    def test_unknown_mode_rejected(self):
+        blocks = (LeviBlock("g1", 1),)
+        with pytest.raises(LeviActionError):
+            levi_action(SignedPermutation.identity(2), blocks, mode="foo")
+
     def test_inverse_round_trip(self):
         params = GeomParams(4, 3, 3, 1, 1)
         w = q_rep(params)
