@@ -43,17 +43,42 @@ from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
 __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]
 
 
+# Optional entry fields: the check a value must pass and what it must be.
+_FIELDS = {
+    "dim": (lambda v: type(v) is int, "an int"),
+    "rank": (lambda v: type(v) is int, "an int"),
+    "conj_self_dual": (lambda v: type(v) is bool, "a bool"),
+    "reducibility": (
+        lambda v: isinstance(v, dict) and all(
+            type(x) in (str, int, float) for x in v.values()
+        ),
+        "an object of name -> string or number",
+    ),
+    "twist_fixed": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+}
+
+
 def _declared(path: str, data: dict, section: str) -> list:
-    """The ``section`` entries of a declarations document, schema-checked."""
+    """The ``section`` entries of a declarations document, schema-checked,
+    as (where, entry) with ``where`` naming the file and the entry."""
     entries = data.get(section, [])
     if not isinstance(entries, list):
         raise JacquetError(f"{path}: {section!r} must be a list of objects")
+    out = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise JacquetError(
                 f"{path}: {section}[{i}] must be an object with a string 'name'"
             )
-    return entries
+        where = f"{path}: {section}[{i}] ({entry['name']!r})"
+        for field, (ok, kind) in _FIELDS.items():
+            if field in entry and not ok(entry[field]):
+                raise JacquetError(f"{where}: {field!r} must be {kind}")
+        out.append((where, entry))
+    return out
 
 
 def load_declarations(path: str) -> LabelRegistry:
@@ -63,21 +88,25 @@ def load_declarations(path: str) -> LabelRegistry:
     if not isinstance(data, dict):
         raise JacquetError(f"{path}: the top level must be a JSON object")
     registry = LabelRegistry()
-    for entry in _declared(path, data, "gl"):
-        registry.declare_gl(
-            entry["name"],
-            int(entry.get("dim", 1)),
-            bool(entry.get("conj_self_dual", True)),
-        )
-    for entry in _declared(path, data, "gu"):
-        reducibility = {
-            registry.gl(name): HalfInt(str(value))
-            for name, value in entry.get("reducibility", {}).items()
-        }
-        twist_fixed = {registry.gl(name) for name in entry.get("twist_fixed", ())}
-        registry.declare_gu(
-            entry["name"], int(entry.get("rank", 0)), reducibility, twist_fixed
-        )
+    for where, entry in _declared(path, data, "gl"):
+        try:
+            registry.declare_gl(
+                entry["name"], entry.get("dim", 1), entry.get("conj_self_dual", True)
+            )
+        except ValueError as exc:
+            raise JacquetError(f"{where}: {exc}") from None
+    for where, entry in _declared(path, data, "gu"):
+        try:
+            reducibility = {
+                registry.gl(name): HalfInt(str(value))
+                for name, value in entry.get("reducibility", {}).items()
+            }
+            twist_fixed = {registry.gl(name) for name in entry.get("twist_fixed", ())}
+            registry.declare_gu(
+                entry["name"], entry.get("rank", 0), reducibility, twist_fixed
+            )
+        except ValueError as exc:
+            raise JacquetError(f"{where}: {exc}") from None
     return registry
 
 

@@ -323,11 +323,16 @@ def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
     """Coefficient of the leading tensor term in the shape-matched Jacquet
     module of the inducing class.  The value 1 is the uniqueness signature
     of a valid datum.  Invalid data are rejected before any computation."""
-    rep = build_inducing_rep(datum, strict)
+    return _leading_multiplicity(build_inducing_rep(datum, strict), mode)
+
+
+def _leading_multiplicity(rep: GUClass, mode: GroupMode) -> int:
+    """Coefficient of (each segment in its own block, bare anchor) in the
+    Jacquet module of ``rep`` along its segment ranks."""
     shape = ParabolicShape(tuple(seg.rank for seg in rep.segments))
     target = TensorTerm(
         tuple(GLMonomial((seg,)) for seg in rep.segments)
-        + (GUClass((), datum.sigma, TRIVIAL_TWIST),)
+        + (GUClass((), rep.sigma, TRIVIAL_TWIST),)
     )
     return jacquet_by_shape(rep, shape, mode).coefficient(target)
 
@@ -394,8 +399,7 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
         ok = all(
             check_inducing_constraints(j.segments(), j.a) for j in datum.jord
         )
-        mult = leading_term_multiplicity(datum, mode, strict)
-        entries.append(SPEntry(datum, rep, ok, mult))
+        entries.append(SPEntry(datum, rep, ok, _leading_multiplicity(rep, mode)))
     return entries
 
 

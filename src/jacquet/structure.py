@@ -15,28 +15,32 @@ This module computes, entirely at the level of formal classes:
 * ``mu_star``    -- the full structure formula, folding ``twisted_rtimes``
   over the segment list of a class;
 * ``jacquet_by_shape`` -- the semisimplified Jacquet module along an
-  ordered block shape, obtained from ``mu_star`` by rank filtering and
-  iterated GL splitting.
+  ordered block shape: the ``mu_star`` terms whose GL factor has the
+  shape's total rank, with that factor cut into blocks directly, one
+  block at a time, taking from each segment only the top pieces whose
+  ranks add up to the block's rank.
 
-All functions are pure; the per-segment comultiplications are memoized.
+All functions are pure.  The per-segment comultiplications are memoized
+on the segment and every attribute of its label; the block cuts are
+memoized per ``jacquet_by_shape`` call only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from .errors import KindMismatchError, SegmentError, ShapeError
+from .errors import KindMismatchError, SegmentError, ShapeError, TermLimitError
 from .grothendieck import (
     FormalSum,
     GLMonomial,
     GUClass,
     TensorTerm,
+    _max_terms,
     tensor_multiply,
 )
-from .scalars import TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
+from .scalars import HalfInt, TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
 from .segments import Segment
 
 __all__ = [
@@ -85,7 +89,27 @@ class ParabolicShape:
         return len(self.blocks)
 
 
-@lru_cache(maxsize=None)
+def _segment_memo(build):
+    """Memoize a per-segment comultiplication.
+
+    Labels compare by name only, so the key also holds every attribute of
+    the label: a same-named label from another registry gets its own
+    entry, never pieces built with the first one's dual.
+    """
+    memo: dict = {}
+
+    def lookup(seg: Segment) -> FormalSum:
+        rho = seg.rho
+        key = (seg.key, rho.dim, rho.conj_self_dual, rho.dual_name)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = build(seg)
+        return out
+
+    return lookup
+
+
+@_segment_memo
 def _mstar_gl_segment(seg: Segment) -> FormalSum:
     if seg.is_empty:
         raise SegmentError("m* of the empty segment is not defined")
@@ -102,7 +126,7 @@ def _mstar_gl_segment(seg: Segment) -> FormalSum:
     return FormalSum(out)
 
 
-@lru_cache(maxsize=None)
+@_segment_memo
 def _mstar_big_segment(seg: Segment) -> FormalSum:
     if seg.is_empty:
         raise SegmentError("M* of the empty segment is not defined")
@@ -215,27 +239,73 @@ def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
     return mu_star_of_segments(g.segments, g.sigma, g.twist, mode)
 
 
-def _split_blocks(mono: GLMonomial, blocks: tuple):
-    """Yield (tuple of GL factors, multiplicity) for every way of cutting
-    ``mono`` into ordered blocks of the exact given ranks."""
-    if not blocks:
-        if mono.rank == 0:
-            yield (), 1
-        return
+def _top_cuts(mono: GLMonomial, rank: int) -> dict:
+    """The terms of m*(mono) whose top piece has the given rank, as
+    {(top, bottom): multiplicity}.
+
+    Segment [a, b] gives top d([b-l+1, b]) and bottom d([a, b-l]) for a
+    top length l; only length vectors with sum(l * dim) == rank are
+    visited.  Different vectors can give the same pair (repeated or
+    overlapping segments), hence the count.
+    """
+    segments = mono.segments
+    cuts = []
+    for s in segments:
+        b2, dim = s.b.twice, s.rho.dim
+        cuts.append([
+            (l * dim,
+             Segment(s.rho, HalfInt.from_twice(b2 - 2 * l + 2), s.b),
+             Segment(s.rho, s.a, HalfInt.from_twice(b2 - 2 * l)))
+            for l in range(s.length + 1)
+        ])
+    # room[i]: the most rank segments i, i+1, ... can still put on top.
+    room = [0] * (len(segments) + 1)
+    for i in range(len(segments) - 1, -1, -1):
+        room[i] = room[i + 1] + segments[i].rank
+    out: dict = {}
+
+    def choose(i, left, tops, bottoms):
+        if i == len(segments):
+            pair = (GLMonomial(tops), GLMonomial(bottoms))
+            out[pair] = out.get(pair, 0) + 1
+            return
+        for r, top, bottom in cuts[i]:
+            if r > left:
+                break
+            if left - r <= room[i + 1]:
+                choose(i + 1, left - r, tops + (top,), bottoms + (bottom,))
+
+    choose(0, rank, (), ())
+    return out
+
+
+def _split(mono: GLMonomial, blocks: tuple, memo: dict) -> list:
+    """[(tuple of GL factors, multiplicity)] for every way of cutting
+    ``mono``, whose rank is ``sum(blocks)``, into ordered blocks of those
+    ranks; ``memo`` caches it on (mono.key, blocks)."""
+    if len(blocks) <= 1:
+        # The last block takes the whole rest; () splits the unit once.
+        return [((mono,) if blocks else (), 1)]
+    key = (mono.key, blocks)
+    found = memo.get(key)
+    if found is not None:
+        return found
     head, rest = blocks[0], blocks[1:]
-    for term, c in mstar_gl(mono).items():
-        top, bottom = term.factors
-        if top.rank != head:
-            continue
-        for tail, c2 in _split_blocks(bottom, rest):
-            yield (top,) + tail, c * c2
+    out: dict = {}
+    for (top, bottom), c in _top_cuts(mono, head).items():
+        for tail, c2 in _split(bottom, rest, memo):
+            parts = (top,) + tail
+            out[parts] = out.get(parts, 0) + c * c2
+    found = memo[key] = list(out.items())
+    return found
 
 
 def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> FormalSum:
     """Semisimplified Jacquet module of ``g`` along an ordered shape.
 
     Terms have one GL factor per block (exact rank match) followed by the
-    anchor factor.
+    anchor factor.  Raises ``TermLimitError`` as soon as the partial
+    module exceeds JACQUET_MAX_TERMS.
     """
     if not isinstance(shape, ParabolicShape):
         shape = ParabolicShape(tuple(shape))
@@ -244,12 +314,19 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             f"shape {shape.blocks} needs GL rank {shape.total}, "
             f"but the class only has {g.gl_rank}"
         )
+    cap = _max_terms()
+    memo: dict = {}
     out: dict = {}
     for term, c in mu_star(g, mode).items():
         gl, gu = term.factors
         if gl.rank != shape.total:
             continue
-        for parts, c2 in _split_blocks(gl, shape.blocks):
+        for parts, c2 in _split(gl, shape.blocks, memo):
             t = TensorTerm(parts + (gu,))
             out[t] = out.get(t, 0) + c * c2
+        if len(out) > cap:
+            raise TermLimitError(
+                f"jacquet_by_shape: partial module of {len(out)} terms exceeds "
+                f"JACQUET_MAX_TERMS ({cap} terms)"
+            )
     return FormalSum(out)

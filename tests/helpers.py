@@ -15,6 +15,8 @@ from jacquet import (
     TensorTerm,
     TwistTag,
     TRIVIAL_TWIST,
+    mstar_gl,
+    mu_star,
 )
 
 
@@ -58,6 +60,35 @@ def direct_single_segment_mu(segment: Segment, sigma: GUCuspidalLabel,
             j = j + 1
         i = i + 1
     return FormalSum(terms)
+
+
+def unpruned_jacquet_by_shape(g: GUClass, blocks: tuple,
+                              mode: GroupMode = GroupMode.GU) -> FormalSum:
+    """Jacquet module along ``blocks`` the unpruned way: all of mu*, then
+    a filter on the GL rank, then the whole m* of what is left for each
+    block in turn, keeping only the cuts whose top piece has the block's
+    rank.
+
+    The reference for the rank-targeted split in ``jacquet_by_shape``.
+    """
+    out = {}
+    for term, c in mu_star(g, mode).items():
+        gl, gu = term.factors
+        if gl.rank != sum(blocks):
+            continue
+        partial = [((), gl, c)]
+        for rank in blocks:
+            step = []
+            for parts, rest, c1 in partial:
+                for cut, c2 in mstar_gl(rest).items():
+                    top, bottom = cut.factors
+                    if top.rank == rank:
+                        step.append((parts + (top,), bottom, c1 * c2))
+            partial = step
+        for parts, _, c1 in partial:
+            t = TensorTerm(parts + (gu,))
+            out[t] = out.get(t, 0) + c1
+    return FormalSum(out)
 
 
 def strip_twists(s: FormalSum) -> FormalSum:

@@ -238,6 +238,15 @@ class TestCommands:
         {"gl": {"name": "rho"}},
         {"gl": ["rho"]},
         {"gl": [{"name": "rho"}], "gu": [{"rank": 0}]},
+        {"gl": [{"name": "rho", "dim": "2"}]},
+        {"gl": [{"name": "rho", "dim": 0}]},
+        {"gl": [{"name": "rho", "conj_self_dual": "yes"}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "rank": True}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": ["rho"]}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"rho": [2]}}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"rho": "x"}}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "twist_fixed": "rho"}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "twist_fixed": [1]}]},
     ])
     def test_malformed_declarations(self, doc, tmp_path, capsys):
         path = tmp_path / "decls.json"

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from jacquet import structure
 from jacquet.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,22 +22,6 @@ GOLDENS = {
 }
 
 
-@pytest.fixture
-def fresh_memos():
-    """Run with empty per-segment memos, as a fresh ``jacquet`` process
-    does, and leave them empty.  The memos are process-wide and match
-    labels by name only, so a label ``chi`` declared not conjugate
-    self-dual by another test would otherwise cross between that test and
-    this one."""
-    memos = (structure._mstar_big_segment, structure._mstar_gl_segment)
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_output_matches_golden(name, capsysbinary):
     assert run_command(GOLDENS[name]) == 0

@@ -26,6 +26,7 @@ from jacquet import (
     sp_necessary_conditions,
     validate_lj,
 )
+from jacquet import spclassifier
 from helpers import h, seg
 
 RHO = CuspidalGLLabel("rho")
@@ -233,6 +234,20 @@ class TestEnumerateSP:
         entries = enumerate_sp([RHO, RHO2], s)
         assert entries == enumerate_sp([RHO, RHO2], s, HalfInt(5))
         assert len(entries) == 6 * 6
+
+    def test_one_build_per_datum(self, monkeypatch, recwarn):
+        validated = []
+
+        def counting_validate(datum, strict=False):
+            validated.append(datum)
+            return validate_lj(datum, strict)
+
+        monkeypatch.setattr(spclassifier, "validate_lj", counting_validate)
+        entries = enumerate_sp([RHO2], SIGMA, h(3))
+        assert len(entries) == 3
+        assert validated == [e.datum for e in entries]
+        assert len(recwarn.list) <= len(entries)
+        assert all(w.category is TwistFixednessWarning for w in recwarn.list)
 
     def test_empty_label_list(self):
         entries = enumerate_sp([], SIGMA, HalfInt(3))

@@ -1,6 +1,8 @@
 """The comultiplication engine against its defining formulas and oracles."""
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from jacquet import (
     Segment,
     ShapeError,
     TensorTerm,
+    TermLimitError,
     TRIVIAL_TWIST,
     jacquet_by_shape,
     mstar_big,
@@ -31,6 +34,7 @@ from helpers import (
     random_segments,
     seg,
     strip_twists,
+    unpruned_jacquet_by_shape,
 )
 
 RHO = CuspidalGLLabel("rho")
@@ -153,6 +157,17 @@ class TestMuStar:
             if t.factors[0].segments and t.factors[0].segments[0].rho.name == "chi~"
         ]
         assert len(duals) == 1
+
+    def test_memo_tells_same_named_labels_apart(self):
+        # Labels compare by name; the per-segment memo must not hand pieces
+        # built with a self-dual "chi" to a non-self-dual "chi".
+        self_dual = CuspidalGLLabel("chi")
+        for label, has_dual in ((self_dual, False), (CHI, True), (self_dual, False)):
+            g = GUClass([seg(label, 0, 1)], SIGMA)
+            names = {
+                s.rho.name for t in mu_star(g).terms() for s in t.factors[0].segments
+            }
+            assert ("chi~" in names) == has_dual, label
 
     def test_matches_direct_transcription(self):
         for segment in [
@@ -291,6 +306,18 @@ class TestConcurrency:
         assert len({l.name for l in labels}) == 5
 
 
+def _compositions(n):
+    """Every ordered tuple of positive ints summing to n."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        out, run = [], 1
+        for cut in cuts:
+            if cut:
+                out.append(run)
+                run = 0
+            run += 1
+        yield tuple(out + [run])
+
+
 class TestJacquetByShape:
     def test_trivial_shape(self):
         g = GUClass([seg(RHO, 1, 2)], SIGMA)
@@ -357,6 +384,51 @@ class TestJacquetByShape:
                     two_step[key] = two_step.get(key, 0) + m * m2
             assert dict(full.items()) == two_step
             checked += 1
+
+    def test_term_cap_fails_fast(self, monkeypatch):
+        # mu* has at most 10**3 terms here, the module along 1^9 313,440.
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "2000")
+        g = GUClass([seg(RHO, 0, 2), seg(RHO, 1, 3), seg(RHO, 2, 4)], SIGMA)
+        with pytest.raises(TermLimitError) as err:
+            jacquet_by_shape(g, (1,) * 9)
+        found = re.match(r"jacquet_by_shape: partial module of (\d+) terms",
+                         str(err.value))
+        assert found and 2000 < int(found.group(1)) < 10_000
+
+    def test_matches_unpruned_oracle_random(self):
+        labels, sigma = make_mixed_labels()
+        rng = random.Random(31)
+        for _ in range(25):
+            g = GUClass(random_segments(rng, labels, max_segments=3, max_length=3),
+                        sigma)
+            n = g.gl_rank
+            shapes = {(), (n,) if n else ()}
+            if n <= 6:  # 1^n of three overlapping rho segments runs to 1^9
+                shapes.add((1,) * n)
+            if 0 < n <= 5:
+                shapes.update(_compositions(n))
+            for total in range(1, min(n - 1, 5) + 1):
+                shapes.add(rng.choice(list(_compositions(total))))
+            for mode in GroupMode:
+                for shape in sorted(shapes):
+                    assert jacquet_by_shape(g, shape, mode) == \
+                        unpruned_jacquet_by_shape(g, shape, mode), (g, shape, mode)
+
+    def test_matches_unpruned_oracle_workload_patterns(self):
+        tau = CuspidalGLLabel("tau", dim=2)
+        patterns = {
+            "A": ([seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)],
+                  [(6,), (3, 3), (1,) * 6, (2, 2, 2)]),
+            "B": ([seg(RHO, 0, 2), seg(RHO, 1, 3)], [(2, 1), (1,) * 6, (3, 3)]),
+            "C": ([seg(RHO, 0, 1), seg(tau, 1, 2)], [(2, 2, 2), (2, 4)]),
+            "D": ([seg(RHO, 0, 3), seg(RHO, 1, 4)], [(2, 1), (8,), (4, 4)]),
+        }
+        for name, (segments, shapes) in patterns.items():
+            g = GUClass(segments, SIGMA)
+            for mode in GroupMode:
+                for shape in shapes:
+                    assert jacquet_by_shape(g, shape, mode) == \
+                        unpruned_jacquet_by_shape(g, shape, mode), (name, shape, mode)
 
     def test_multiplicity_lookup(self):
         g = GUClass([seg(RHO, 1, 1)], SIGMA)
