@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Union
 
-from .errors import KindMismatchError, TermLimitError
+from .errors import JacquetError, KindMismatchError, TermLimitError
 from .scalars import GUCuspidalLabel, Keyed, TwistTag, TRIVIAL_TWIST
 from .segments import Segment
 
@@ -46,7 +46,9 @@ def _max_terms() -> int:
     try:
         return int(raw)
     except ValueError:
-        return _DEFAULT_MAX_TERMS
+        raise JacquetError(
+            f"JACQUET_MAX_TERMS must be an integer, got {raw!r}"
+        ) from None
 
 
 _by_key = attrgetter("key")
@@ -70,6 +72,15 @@ class GLMonomial(Keyed):
         segments = _canonical_segments(segments)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "key", tuple(s.key for s in segments))
+
+    @classmethod
+    def _trusted(cls, segments: tuple, key: tuple) -> "GLMonomial":
+        """Build from segments already in canonical order and their keys,
+        unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "segments", segments)
+        object.__setattr__(out, "key", key)
+        return out
 
     @classmethod
     def unit(cls) -> "GLMonomial":
@@ -126,6 +137,18 @@ class GUClass(Keyed):
             self, "key", (tuple(s.key for s in segments), sigma.name, twist.key)
         )
 
+    @classmethod
+    def _trusted(cls, segments: tuple, sigma: GUCuspidalLabel, twist: TwistTag,
+                 key: tuple) -> "GUClass":
+        """Build from segments already in canonical order, a twist with the
+        anchor's twist-fixed entries already erased, and the key, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "segments", segments)
+        object.__setattr__(out, "sigma", sigma)
+        object.__setattr__(out, "twist", twist)
+        object.__setattr__(out, "key", key)
+        return out
+
     @property
     def rank(self) -> int:
         return sum(s.rank for s in self.segments) + self.sigma.rank
@@ -162,6 +185,14 @@ class TensorTerm(Keyed):
                 raise KindMismatchError(f"invalid tensor factor {f!r}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "key", tuple(f.key for f in factors))
+
+    @classmethod
+    def _trusted(cls, factors: tuple, key: tuple) -> "TensorTerm":
+        """Build from factors known to be valid and their keys, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        object.__setattr__(out, "key", key)
+        return out
 
     @property
     def arity(self) -> int:
@@ -215,6 +246,23 @@ class FormalSum:
             )
         self._terms = data
         self._kind = kind
+
+    @classmethod
+    def _from_terms(cls, data: dict, kind) -> "FormalSum":
+        """Take over a finished dict of distinct terms, all of ``kind``.
+
+        Zero multiplicities are dropped and the term cap is enforced, as in
+        the public constructor; an empty sum has no kind.
+        """
+        if 0 in data.values():
+            data = {t: m for t, m in data.items() if m != 0}
+        cap = _max_terms()
+        if len(data) > cap:
+            raise TermLimitError(f"formal sum exceeds JACQUET_MAX_TERMS ({cap} terms)")
+        out = cls.__new__(cls)
+        out._terms = data
+        out._kind = kind if data else None
+        return out
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -358,11 +406,21 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
+    cap = _max_terms()
     out: dict = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
             t = TensorTerm(a * b for a, b in zip(tx.factors, ty.factors))
-            out[t] = out.get(t, 0) + cx * cy
+            old = out.get(t)
+            if old is None:
+                if len(out) >= cap:
+                    raise TermLimitError(
+                        f"tensor_multiply: partial product of {len(out) + 1} terms "
+                        f"exceeds JACQUET_MAX_TERMS ({cap} terms)"
+                    )
+                out[t] = cx * cy
+            else:
+                out[t] = old + cx * cy
     return FormalSum(out, kind=kx)
 
 

@@ -12,13 +12,21 @@ This module computes, entirely at the level of formal classes:
   slot together with the second and fourth factors, the third factor is
   pushed onto the anchor, and in GU mode the dualized factor contributes a
   central-character twist (U mode contributes none);
-* ``mu_star``    -- the full structure formula, folding ``twisted_rtimes``
-  over the segment list of a class;
+* ``mu_star``    -- the full structure formula, folding the pairing over
+  the segment list of a class;
 * ``jacquet_by_shape`` -- the semisimplified Jacquet module along an
   ordered block shape: the ``mu_star`` terms whose GL factor has the
   shape's total rank, with that factor cut into blocks directly, one
   block at a time, taking from each segment only the top pieces whose
   ranks add up to the block's rank.
+
+``twisted_rtimes`` and ``mu_star`` run one fold kernel, ``_fold``.  It
+numbers every segment a call can produce by canonical key order, so a
+factor is a sorted tuple of small ints and every step but the last merges
+terms in a dict keyed by those tuples and an anchor-twist id.  The last
+step builds each public term once, through the trusted constructors of
+``grothendieck``; nothing is re-sorted or re-validated.  Each step checks
+JACQUET_MAX_TERMS as every new term enters it.
 
 All functions are pure.  The per-segment comultiplications are memoized
 on the segment and every attribute of its label; the block cuts are
@@ -190,33 +198,167 @@ def _omega_of(mono: GLMonomial) -> TwistTag:
     return TwistTag(entries)
 
 
+def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalSum:
+    """Fold the twisted pairing over ``steps``, starting from ``start``.
+
+    ``steps`` is a list of (segment or None, three-factor GL sum); each
+    step computes ``twisted_rtimes(sum, acc, mode)``.  Every segment the
+    fold can produce (the dualized first, second and third pieces of the
+    steps' terms, and the segments of ``start``) is interned first as an
+    int numbered in canonical key order, so a sorted int tuple is a
+    canonical factor.  An anchor (label, twist) is interned as a rep id,
+    for the first tag seen with those entries, and a key id, for its
+    (label, twist key).  Every step but the last accumulates into a dict
+    keyed by (GL ids, GU ids, anchor key id) that holds [multiplicity, rep
+    id].  The last step builds the public terms through the trusted
+    constructors, sharing each anchor factor among its terms.
+
+    The step's terms are walked outer and the accumulator inner, and a
+    merged term keeps its first rep, so the nu sums a merged twist shows
+    are those of the object-level fold.  ``layer`` names the caller in
+    the ``TermLimitError`` raised as soon as a step grows past the cap.
+    """
+    pieces: dict = {}     # segment key -> segment
+
+    def add(segments) -> None:
+        for p in segments:
+            pieces.setdefault(p.key, p)
+
+    for tt in start.terms():
+        for f in tt.factors:
+            add(f.segments)
+    firsts: dict = {}     # first-factor key -> (dualized segments, omega or None)
+    for _, m in steps:
+        for tm in m.terms():
+            pi1, pi2, pi3 = tm.factors
+            if pi1.key not in firsts:
+                dual = pi1.dual().segments
+                omega = _omega_of(pi1) if mode is GroupMode.GU and pi1.segments else None
+                firsts[pi1.key] = (dual, omega)
+                add(dual)
+            add(pi2.segments)
+            add(pi3.segments)
+    keys = sorted(pieces)
+    segs = [pieces[k] for k in keys]
+    ids = {k: i for i, k in enumerate(keys)}
+
+    def id_tuple(segments) -> tuple:
+        return tuple(ids[p.key] for p in segments)
+
+    plans = []            # per step: (segment, [(low ids, mid ids, first key, mult)])
+    for folded, m in steps:
+        plan = []
+        for tm, cm in m.items():
+            pi1, pi2, pi3 = tm.factors
+            low = id_tuple(firsts[pi1.key][0] + pi2.segments)
+            plan.append((low, id_tuple(pi3.segments), pi1.key, cm))
+        plans.append((folded, plan))
+
+    reps: list = []       # rep id -> (anchor label, twist)
+    rep_key: list = []    # rep id -> anchor key id
+    rep_ids: dict = {}    # (label name, twist entries) -> rep id
+    key_ids: dict = {}    # (label name, twist key) -> anchor key id
+
+    def intern(sigma, twist) -> tuple:
+        rid = rep_ids.get((sigma.name, twist.entries))
+        if rid is None:
+            rid = rep_ids[(sigma.name, twist.entries)] = len(reps)
+            reps.append((sigma, twist))
+            rep_key.append(key_ids.setdefault((sigma.name, twist.key), len(key_ids)))
+        return rep_key[rid], rid
+
+    acc: dict = {}
+    for tt, ct in start.items():
+        pi4, anchor = tt.factors
+        kid, rid = intern(anchor.sigma, anchor.twist)
+        acc[(id_tuple(pi4.segments), id_tuple(anchor.segments), kid)] = [ct, rid]
+
+    def mover(first: tuple, moved_by: dict):
+        """rep id -> (key id, rep id) once the first factor ``first`` has
+        twisted the anchor, or None when it does not twist; ``moved_by``
+        caches it for one step."""
+        omega = firsts[first][1]
+        if omega is None:
+            return None
+        moved = moved_by.get(first)
+        if moved is None:
+            moved = moved_by[first] = {}
+            for rid in {v[1] for v in acc.values()}:
+                sigma, twist = reps[rid]
+                twist = twist.merge(omega)
+                fixed = {rho.name for rho in sigma.twist_fixed}
+                moved[rid] = intern(sigma, twist.without(fixed) if fixed else twist)
+        return moved
+
+    cap = _max_terms()
+
+    def too_many(size: int, folded) -> TermLimitError:
+        where = f" folding {folded}," if folded is not None else ""
+        return TermLimitError(
+            f"{layer}:{where} partial sum of {size} terms exceeds "
+            f"JACQUET_MAX_TERMS ({cap} terms)"
+        )
+
+    for folded, plan in plans[:-1]:
+        nxt: dict = {}
+        moved_by: dict = {}
+        for low, mid, first, cm in plan:
+            moved = mover(first, moved_by)
+            for (gl, gu, kid), (ct, rid) in acc.items():
+                if moved is not None:
+                    kid, rid = moved[rid]
+                key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), kid)
+                entry = nxt.get(key)
+                if entry is None:
+                    nxt[key] = [cm * ct, rid]
+                    if len(nxt) > cap:
+                        raise too_many(len(nxt), folded)
+                else:
+                    entry[0] += cm * ct
+        acc = nxt
+
+    folded, plan = plans[-1]
+    seg_at, key_at = segs.__getitem__, keys.__getitem__
+    new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
+    flat = [(gl, gu, ct, rid) for (gl, gu, _), (ct, rid) in acc.items()]
+    gus: dict = {}        # (GU ids, rep id) -> GUClass
+    moved_by = {}
+    out: dict = {}
+    for low, mid, first, cm in plan:
+        moved = mover(first, moved_by)
+        for gl, gu, ct, rid in flat:
+            if moved is not None:
+                rid = moved[rid][1]
+            gl = tuple(sorted(low + gl))
+            gl_factor = new_gl(tuple(map(seg_at, gl)), tuple(map(key_at, gl)))
+            gu = (tuple(sorted(mid + gu)), rid)
+            gu_factor = gus.get(gu)
+            if gu_factor is None:
+                sigma, twist = reps[rid]
+                gu_factor = gus[gu] = new_gu(
+                    tuple(map(seg_at, gu[0])), sigma, twist,
+                    (tuple(map(key_at, gu[0])), sigma.name, twist.key))
+            term = new_term((gl_factor, gu_factor), (gl_factor.key, gu_factor.key))
+            c = cm * ct
+            size = len(out)
+            old = out.setdefault(term, c)
+            if len(out) == size:
+                out[term] = old + c
+            elif size >= cap:
+                raise too_many(size + 1, folded)
+    return FormalSum._from_terms(out, ("tensor", 2, True))
+
+
 def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
     """Pair a three-factor GL sum with a (GL, GU) sum, bilinearly."""
     if m.is_zero or t.is_zero:
         return FormalSum.zero()
-    out: dict = {}
-    for tm, cm in m.items():
-        pi1, pi2, pi3 = tm.factors
-        dual1 = pi1.dual()
-        omega = None
-        if mode is GroupMode.GU and pi1.segments:
-            omega = _omega_of(pi1)
-        # One merged tag per distinct anchor tag, shared by its terms; keyed
-        # by the entries, since tags with equal keys may carry other nu sums.
-        twists: dict = {}
-        for tt, ct in t.items():
-            pi4, anchor = tt.factors
-            gl = GLMonomial(dual1.segments + pi2.segments + pi4.segments)
-            if omega is None:
-                twist = anchor.twist
-            else:
-                twist = twists.get(anchor.twist.entries)
-                if twist is None:
-                    twist = twists[anchor.twist.entries] = anchor.twist.merge(omega)
-            gu = GUClass(pi3.segments + anchor.segments, anchor.sigma, twist)
-            term = TensorTerm((gl, gu))
-            out[term] = out.get(term, 0) + cm * ct
-    return FormalSum(out)
+    if m.kind != ("tensor", 3, False) or t.kind != ("tensor", 2, True):
+        raise KindMismatchError(
+            f"twisted_rtimes needs a three-factor GL sum and a (GL, GU) sum, "
+            f"got {m.kind} and {t.kind}"
+        )
+    return _fold([(None, m)], t, mode, "twisted_rtimes")
 
 
 def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
@@ -227,10 +369,11 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     The result does not depend on the order; exposing the order makes that
     a testable fact rather than an artifact of canonical sorting.
     """
-    acc = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
-    for seg in segments:
-        acc = twisted_rtimes(_mstar_big_segment(seg), acc, mode)
-    return acc
+    start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
+    if not segments:
+        return start
+    steps = [(seg, _mstar_big_segment(seg)) for seg in segments]
+    return _fold(steps, start, mode, "mu_star")
 
 
 def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
@@ -322,11 +465,15 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
         if gl.rank != shape.total:
             continue
         for parts, c2 in _split(gl, shape.blocks, memo):
-            t = TensorTerm(parts + (gu,))
-            out[t] = out.get(t, 0) + c * c2
+            factors = parts + (gu,)
+            t = TensorTerm._trusted(factors, tuple(f.key for f in factors))
+            size = len(out)
+            old = out.setdefault(t, c * c2)
+            if len(out) == size:
+                out[t] = old + c * c2
         if len(out) > cap:
             raise TermLimitError(
                 f"jacquet_by_shape: partial module of {len(out)} terms exceeds "
                 f"JACQUET_MAX_TERMS ({cap} terms)"
             )
-    return FormalSum(out)
+    return FormalSum._from_terms(out, ("tensor", len(shape) + 1, True))

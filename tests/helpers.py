@@ -15,6 +15,7 @@ from jacquet import (
     TensorTerm,
     TwistTag,
     TRIVIAL_TWIST,
+    mstar_big,
     mstar_gl,
     mu_star,
 )
@@ -60,6 +61,39 @@ def direct_single_segment_mu(segment: Segment, sigma: GUCuspidalLabel,
             j = j + 1
         i = i + 1
     return FormalSum(terms)
+
+
+def reference_mu_star_of_segments(segments, sigma: GUCuspidalLabel,
+                                  twist: TwistTag = TRIVIAL_TWIST,
+                                  mode: GroupMode = GroupMode.GU) -> FormalSum:
+    """The structure formula folded over ``segments`` one public object at
+    a time: each M* term is paired with each accumulated term by building
+    the GL factor, the anchor factor and the tensor term, and each fold
+    step ends in a public ``FormalSum``.
+
+    The reference for the interned fold kernel in ``structure``.  It walks
+    the M* terms outer and the accumulator inner and keeps the first term
+    of a merged pair, so the nu sums it displays are comparable too.
+    """
+    acc = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
+    for segment in segments:
+        out = {}
+        for tm, cm in mstar_big(segment).items():
+            pi1, pi2, pi3 = tm.factors
+            dual1 = pi1.dual()
+            omega = None
+            if mode is GroupMode.GU and pi1.segments:
+                omega = TwistTag(tuple((s.rho.name, s.length, s.exponent_sum())
+                                       for s in pi1.segments))
+            for tt, ct in acc.items():
+                pi4, anchor = tt.factors
+                gl = GLMonomial(dual1.segments + pi2.segments + pi4.segments)
+                tag = anchor.twist if omega is None else anchor.twist.merge(omega)
+                gu = GUClass(pi3.segments + anchor.segments, anchor.sigma, tag)
+                term = TensorTerm((gl, gu))
+                out[term] = out.get(term, 0) + cm * ct
+        acc = FormalSum(out)
+    return acc
 
 
 def unpruned_jacquet_by_shape(g: GUClass, blocks: tuple,

@@ -1,10 +1,15 @@
 """Expression language and command-line behavior."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jacquet
 from jacquet import ExpressionError, LabelRegistry
 from jacquet.cli import main, make_resolvers
 from jacquet.expressions import format_expression, parse_expression, parse_tensor_target
@@ -257,6 +262,27 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0]
+
+    @pytest.mark.parametrize("cap, words", [
+        ("50", ["mu_star", "51 terms", "JACQUET_MAX_TERMS (50 terms)"]),
+        ("abc", ["JACQUET_MAX_TERMS", "'abc'"]),
+    ])
+    def test_term_cap_exit(self, cap, words):
+        src = str(Path(jacquet.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, JACQUET_MAX_TERMS=cap,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "jacquet", "mustar",
+             "d(0,2@rho) x d(1,3@rho) |x| sigma"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        for word in words:
+            assert word in err[0]
 
     def test_errors_go_to_stderr(self, capsys):
         main(["mustar", "d(2,1@rho) |x| sigma"])

@@ -11,6 +11,7 @@ from jacquet import (
     GLMonomial,
     GUClass,
     GUCuspidalLabel,
+    JacquetError,
     KindMismatchError,
     Segment,
     TensorTerm,
@@ -116,6 +117,24 @@ def test_term_limit(monkeypatch):
     monos = [GLMonomial([seg(RHO, i, i)]) for i in range(5)]
     with pytest.raises(TermLimitError):
         FormalSum((m, 1) for m in monos)
+
+
+def test_tensor_multiply_checks_the_cap_while_it_grows(monkeypatch):
+    x = FormalSum({TensorTerm((GLMonomial([seg(RHO, i, i)]), GLMonomial())): 1
+                   for i in range(4)})
+    y = FormalSum({TensorTerm((GLMonomial(), GLMonomial([seg(TAU, i, i)]))): 1
+                   for i in range(4)})
+    monkeypatch.setenv("JACQUET_MAX_TERMS", "10")
+    with pytest.raises(TermLimitError) as err:
+        tensor_multiply(x, y)
+    assert str(err.value).startswith("tensor_multiply: partial product of 11 terms")
+
+
+def test_malformed_term_limit(monkeypatch):
+    monkeypatch.setenv("JACQUET_MAX_TERMS", "1e6")
+    with pytest.raises(JacquetError) as err:
+        FormalSum.of(GLMonomial([S1]))
+    assert "JACQUET_MAX_TERMS" in str(err.value) and "'1e6'" in str(err.value)
 
 
 mono_strategy = st.lists(

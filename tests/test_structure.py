@@ -1,6 +1,7 @@
 """The comultiplication engine against its defining formulas and oracles."""
 
 import itertools
+import json
 import random
 import re
 
@@ -14,24 +15,29 @@ from jacquet import (
     GUClass,
     GUCuspidalLabel,
     HalfInt,
+    JacquetError,
     KindMismatchError,
     SegmentError,
     Segment,
     ShapeError,
     TensorTerm,
     TermLimitError,
+    TwistTag,
     TRIVIAL_TWIST,
     jacquet_by_shape,
     mstar_big,
     mstar_gl,
     mu_star,
     mu_star_of_segments,
+    twisted_rtimes,
 )
+from jacquet.grothendieck import sum_to_obj
 from helpers import (
     direct_single_segment_mu,
     h,
     make_mixed_labels,
     random_segments,
+    reference_mu_star_of_segments,
     seg,
     strip_twists,
     unpruned_jacquet_by_shape,
@@ -275,6 +281,109 @@ class TestTwistedRtimes:
             GUClass([s3, seg(RHO, 5, 5)], SIGMA),
         ))
         assert out == FormalSum.of(expected)
+
+
+def _same_output(got: FormalSum, want: FormalSum) -> bool:
+    """Equal sums, equal text and byte-identical JSON, which also pins the
+    nu sums each merged twist displays."""
+    return (got == want and str(got) == str(want)
+            and json.dumps(sum_to_obj(got)) == json.dumps(sum_to_obj(want)))
+
+
+def _alternating(k: int, length: int) -> list:
+    tau = CuspidalGLLabel("tau", dim=2)
+    return [Segment(RHO if i % 2 == 0 else tau, HalfInt(i), HalfInt(i + length - 1))
+            for i in range(k)]
+
+
+class TestFoldKernel:
+    """The interned fold against the object-level reference fold."""
+
+    def anchors(self, sigma):
+        rho, _, chi = make_mixed_labels()[0]
+        fixed = GUCuspidalLabel("sigma_fixed", rank=1, twist_fixed={rho, chi})
+        start = TwistTag((("rho", 1, h(1)), ("chi", -2, h(3)), ("tau", 1, h(-1))))
+        return [(sigma, TRIVIAL_TWIST), (sigma, start),
+                (fixed, TRIVIAL_TWIST), (fixed, start)]
+
+    def test_matches_reference_random(self):
+        labels, sigma = make_mixed_labels()
+        anchors = self.anchors(sigma)
+        rng = random.Random(41)
+        # Every class runs with one of the 8 (anchor, start twist, mode) cases.
+        cases = list(itertools.product(anchors, GroupMode))
+        for i in range(300):
+            segments = random_segments(rng, labels, max_segments=3, max_length=4)
+            (anchor, twist), mode = cases[i % len(cases)]
+            got = mu_star_of_segments(segments, anchor, twist, mode)
+            want = reference_mu_star_of_segments(segments, anchor, twist, mode)
+            assert _same_output(got, want), (segments, anchor, twist, mode)
+
+    def test_matches_reference_deep_folds(self):
+        for k, length in ((3, 4), (4, 3)):
+            segments = _alternating(k, length)
+            for mode in GroupMode:
+                got = mu_star_of_segments(segments, SIGMA, mode=mode)
+                want = reference_mu_star_of_segments(segments, SIGMA, mode=mode)
+                assert _same_output(got, want), (k, length, mode)
+
+    def test_twisted_rtimes_of_a_product_is_the_fold(self):
+        # M* is multiplicative, so pairing M* of the whole product at once
+        # (multi-segment first factors) gives the segment-by-segment fold.
+        labels, sigma = make_mixed_labels()
+        rng = random.Random(43)
+        for _ in range(30):
+            segments = random_segments(rng, labels, max_segments=3, max_length=3)
+            start = FormalSum.of(TensorTerm((GLMonomial(), GUClass((), sigma))))
+            for mode in GroupMode:
+                assert twisted_rtimes(mstar_big(GLMonomial(segments)), start, mode) == \
+                    mu_star_of_segments(segments, sigma, mode=mode), (segments, mode)
+
+    def test_merged_term_keeps_its_first_twist(self):
+        # In mu* the nu sums of terms that merge always agree; inputs with
+        # unrelated nu sums show which term of a merged pair is kept: the
+        # first in the order M* terms outer, accumulated terms inner.
+        s = seg(RHO, 1, 1)
+        lift = TensorTerm((GLMonomial(), GLMonomial(), mono(s)))
+        unit = TensorTerm((GLMonomial(),) * 3)
+        m = FormalSum({lift: 1, unit: 1})
+        t = FormalSum({
+            TensorTerm((GLMonomial(), GUClass([s], SIGMA, TwistTag((("rho", 1, h(0)),))))): 1,
+            TensorTerm((GLMonomial(), GUClass([], SIGMA, TwistTag((("rho", 1, h(14)),))))): 1,
+        })
+        merged = TensorTerm((GLMonomial(), GUClass([s], SIGMA, TwistTag((("rho", 1, h(0)),)))))
+        out = twisted_rtimes(m, t, GroupMode.GU)
+        assert out.coefficient(merged) == 2
+        kept = next(term for term in out.terms() if term == merged)
+        assert kept.factors[1].twist.entries == (("rho", 1, h(14)),)
+
+    def test_twisted_rtimes_rejects_wrong_kinds(self):
+        anchor = FormalSum.of(TensorTerm((GLMonomial(), GUClass([], SIGMA))))
+        with pytest.raises(KindMismatchError):
+            twisted_rtimes(anchor, anchor, GroupMode.GU)
+
+    def test_term_cap_fails_inside_the_fold(self, monkeypatch):
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "50")
+        g = GUClass([seg(RHO, 0, 2), seg(RHO, 1, 3)], SIGMA)
+        with pytest.raises(TermLimitError) as err:
+            mu_star(g)
+        message = str(err.value)
+        assert message.startswith("mu_star: folding d(1,3@rho),")
+        assert "partial sum of 51 terms" in message
+
+    def test_term_cap_names_twisted_rtimes(self, monkeypatch):
+        m = mstar_big(GLMonomial([seg(RHO, 0, 2), seg(RHO, 1, 3)]))
+        t = FormalSum.of(TensorTerm((GLMonomial(), GUClass([], SIGMA))))
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "20")
+        with pytest.raises(TermLimitError) as err:
+            twisted_rtimes(m, t, GroupMode.GU)
+        assert str(err.value).startswith("twisted_rtimes: partial sum of 21 terms")
+
+    def test_malformed_cap_is_an_error(self, monkeypatch):
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "abc")
+        with pytest.raises(JacquetError) as err:
+            mu_star(GUClass([seg(RHO, 0, 1)], SIGMA))
+        assert "JACQUET_MAX_TERMS" in str(err.value) and "'abc'" in str(err.value)
 
 
 class TestConcurrency:
