@@ -58,6 +58,24 @@ def _canonical_segments(segments: Iterable[Segment]) -> tuple:
     return tuple(sorted((s for s in segments if not s.is_empty), key=_by_key))
 
 
+def _once_per_segment(fmt):
+    """``fmt`` memoised on ``segment.key``, for the terms of one sum: a
+    sum has many terms but few distinct segments."""
+    memo: dict = {}
+
+    def once(s: Segment):
+        out = memo.get(s.key)
+        if out is None:
+            out = memo[s.key] = fmt(s)
+        return out
+
+    return once
+
+
+def _product_text(segments: tuple, segment_text) -> str:
+    return " x ".join(map(segment_text, segments)) if segments else "1"
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class GLMonomial(Keyed):
     """Commutative product of nonempty segment classes; () is the unit.
@@ -102,10 +120,11 @@ class GLMonomial(Keyed):
             return NotImplemented
         return GLMonomial(self.segments + other.segments)
 
+    def _text(self, segment_text) -> str:
+        return _product_text(self.segments, segment_text)
+
     def __str__(self):
-        if self.is_unit:
-            return "1"
-        return " x ".join(str(s) for s in self.segments)
+        return self._text(str)
 
     def __repr__(self):
         return f"GLMonomial({self})"
@@ -157,11 +176,14 @@ class GUClass(Keyed):
     def gl_rank(self) -> int:
         return sum(s.rank for s in self.segments)
 
-    def __str__(self):
-        head = " x ".join(str(s) for s in self.segments) if self.segments else "1"
+    def _text(self, segment_text) -> str:
+        head = _product_text(self.segments, segment_text)
         tw = str(self.twist)
         anchor = f"{tw} {self.sigma.name}" if tw else self.sigma.name
         return f"{head} |x| {anchor}"
+
+    def __str__(self):
+        return self._text(str)
 
     def __repr__(self):
         return f"GUClass({self})"
@@ -202,8 +224,11 @@ class TensorTerm(Keyed):
     def has_gu(self) -> bool:
         return bool(self.factors) and isinstance(self.factors[-1], GUClass)
 
+    def _text(self, segment_text) -> str:
+        return " (x) ".join(f._text(segment_text) for f in self.factors)
+
     def __str__(self):
-        return " (x) ".join(str(f) for f in self.factors)
+        return self._text(str)
 
     def __repr__(self):
         return f"TensorTerm({self})"
@@ -358,9 +383,10 @@ class FormalSum:
     def __str__(self):
         if self.is_zero:
             return "0"
+        segment_text = _once_per_segment(str)
         chunks = []
         for term, mult in self.sorted_items():
-            body = str(term)
+            body = term._text(segment_text)
             if mult == 1:
                 chunk = body
             elif mult == -1:
@@ -386,15 +412,35 @@ def _as_gl_sum(x) -> FormalSum:
     raise KindMismatchError(f"not a GL element: {x!r}")
 
 
+def _bilinear(x: FormalSum, y: FormalSum, product, layer: str) -> dict:
+    """{product(tx, ty): sum of cx * cy} over the terms of ``x`` and ``y``,
+    raising ``TermLimitError`` as soon as a new term takes it past the cap."""
+    cap = _max_terms()
+    out: dict = {}
+    for tx, cx in x.items():
+        for ty, cy in y.items():
+            t = product(tx, ty)
+            old = out.get(t)
+            if old is None:
+                if len(out) >= cap:
+                    raise TermLimitError(
+                        f"{layer}: partial product of {len(out) + 1} terms "
+                        f"exceeds JACQUET_MAX_TERMS ({cap} terms)"
+                    )
+                out[t] = cx * cy
+            else:
+                out[t] = old + cx * cy
+    return out
+
+
 def gl_multiply(x, y) -> FormalSum:
     """Bilinear extension of monomial concatenation in the GL ring."""
     xs, ys = _as_gl_sum(x), _as_gl_sum(y)
-    out: dict = {}
-    for tx, cx in xs.items():
-        for ty, cy in ys.items():
-            t = tx * ty
-            out[t] = out.get(t, 0) + cx * cy
-    return FormalSum(out, kind=("gl",))
+    return FormalSum(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"), kind=("gl",))
+
+
+def _componentwise(tx: TensorTerm, ty: TensorTerm) -> TensorTerm:
+    return TensorTerm(a * b for a, b in zip(tx.factors, ty.factors))
 
 
 def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
@@ -406,22 +452,7 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
-    cap = _max_terms()
-    out: dict = {}
-    for tx, cx in x.items():
-        for ty, cy in y.items():
-            t = TensorTerm(a * b for a, b in zip(tx.factors, ty.factors))
-            old = out.get(t)
-            if old is None:
-                if len(out) >= cap:
-                    raise TermLimitError(
-                        f"tensor_multiply: partial product of {len(out) + 1} terms "
-                        f"exceeds JACQUET_MAX_TERMS ({cap} terms)"
-                    )
-                out[t] = cx * cy
-            else:
-                out[t] = old + cx * cy
-    return FormalSum(out, kind=kx)
+    return FormalSum(_bilinear(x, y, _componentwise, "tensor_multiply"), kind=kx)
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +466,36 @@ def _twist_to_obj(t: TwistTag) -> dict:
     return {name: {"exp": exp, "nu": str(nu)} for name, exp, nu in t.entries}
 
 
-def factor_to_obj(f) -> dict:
+def _factor_obj(f, segment_obj) -> dict:
     if isinstance(f, GLMonomial):
-        return {"segments": [_segment_to_obj(s) for s in f.segments]}
+        return {"segments": [segment_obj(s) for s in f.segments]}
     if isinstance(f, GUClass):
         return {
-            "segments": [_segment_to_obj(s) for s in f.segments],
+            "segments": [segment_obj(s) for s in f.segments],
             "sigma": f.sigma.name,
             "twist": _twist_to_obj(f.twist),
         }
     raise KindMismatchError(f"not a factor: {f!r}")
 
 
+def _term_obj(term: Monomial, segment_obj) -> list:
+    factors = term.factors if isinstance(term, TensorTerm) else (term,)
+    return [_factor_obj(f, segment_obj) for f in factors]
+
+
+def factor_to_obj(f) -> dict:
+    return _factor_obj(f, _segment_to_obj)
+
+
 def term_to_obj(term: Monomial) -> list:
-    if isinstance(term, TensorTerm):
-        return [factor_to_obj(f) for f in term.factors]
-    return [factor_to_obj(term)]
+    return _term_obj(term, _segment_to_obj)
 
 
 def sum_to_obj(s: FormalSum) -> list:
     """Deterministic list-of-terms form: [{"mult": m, "term": [factors]}]."""
-    return [{"mult": m, "term": term_to_obj(t)} for t, m in s.sorted_items()]
+    fields = _once_per_segment(_segment_to_obj)
+
+    def segment_obj(seg: Segment) -> dict:
+        return dict(fields(seg))  # every term gets dicts of its own
+
+    return [{"mult": m, "term": _term_obj(t, segment_obj)} for t, m in s.sorted_items()]

@@ -28,6 +28,13 @@ step builds each public term once, through the trusted constructors of
 ``grothendieck``; nothing is re-sorted or re-validated.  Each step checks
 JACQUET_MAX_TERMS as every new term enters it.
 
+``jacquet_by_shape`` cuts on ids too, within one call: every segment gets
+an int id when first seen, a GL monomial is a sorted tuple of them, and
+each segment's table of (top rank, top piece, bottom piece) cuts is built
+once.  The memo of cuts is keyed on (id tuple, remaining blocks) and the
+output merges on block ids and an anchor id; a public ``GLMonomial`` is
+built once per distinct block and each output term once.
+
 All functions are pure.  The per-segment comultiplications are memoized
 on the segment and every attribute of its label; the block cuts are
 memoized per ``jacquet_by_shape`` call only.
@@ -382,65 +389,106 @@ def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
     return mu_star_of_segments(g.segments, g.sigma, g.twist, mode)
 
 
-def _top_cuts(mono: GLMonomial, rank: int) -> dict:
-    """The terms of m*(mono) whose top piece has the given rank, as
-    {(top, bottom): multiplicity}.
+class _BlockCutter:
+    """Block cuts of GL monomials for one ``jacquet_by_shape`` call.
 
-    Segment [a, b] gives top d([b-l+1, b]) and bottom d([a, b-l]) for a
-    top length l; only length vectors with sum(l * dim) == rank are
-    visited.  Different vectors can give the same pair (repeated or
-    overlapping segments), hence the count.
+    Every segment gets an int id when first seen, so a GL monomial is a
+    sorted tuple of segment ids, and every block a cut produces gets an
+    int id too.  The memo and merge dicts hash plain int tuples; a public
+    ``GLMonomial`` is built once per block, at the end.
     """
-    segments = mono.segments
-    cuts = []
-    for s in segments:
-        b2, dim = s.b.twice, s.rho.dim
-        cuts.append([
-            (l * dim,
-             Segment(s.rho, HalfInt.from_twice(b2 - 2 * l + 2), s.b),
-             Segment(s.rho, s.a, HalfInt.from_twice(b2 - 2 * l)))
-            for l in range(s.length + 1)
-        ])
-    # room[i]: the most rank segments i, i+1, ... can still put on top.
-    room = [0] * (len(segments) + 1)
-    for i in range(len(segments) - 1, -1, -1):
-        room[i] = room[i + 1] + segments[i].rank
-    out: dict = {}
 
-    def choose(i, left, tops, bottoms):
-        if i == len(segments):
-            pair = (GLMonomial(tops), GLMonomial(bottoms))
-            out[pair] = out.get(pair, 0) + 1
-            return
-        for r, top, bottom in cuts[i]:
-            if r > left:
-                break
-            if left - r <= room[i + 1]:
-                choose(i + 1, left - r, tops + (top,), bottoms + (bottom,))
+    def __init__(self):
+        self.ids: dict = {}       # segment key -> segment id
+        self.segments: list = []  # segment id -> segment
+        self.tables: list = []    # segment id -> cut table, None until used
+        self.block_ids: dict = {}  # id tuple -> block id
+        self.memo: dict = {}      # (id tuple, blocks) -> [(block ids, multiplicity)]
 
-    choose(0, rank, (), ())
-    return out
+    def intern(self, seg: Segment) -> int:
+        i = self.ids.get(seg.key)
+        if i is None:
+            i = self.ids[seg.key] = len(self.segments)
+            self.segments.append(seg)
+            self.tables.append(None)
+        return i
 
+    def ids_of(self, mono: GLMonomial) -> tuple:
+        return tuple(sorted(map(self.intern, mono.segments)))
 
-def _split(mono: GLMonomial, blocks: tuple, memo: dict) -> list:
-    """[(tuple of GL factors, multiplicity)] for every way of cutting
-    ``mono``, whose rank is ``sum(blocks)``, into ordered blocks of those
-    ranks; ``memo`` caches it on (mono.key, blocks)."""
-    if len(blocks) <= 1:
-        # The last block takes the whole rest; () splits the unit once.
-        return [((mono,) if blocks else (), 1)]
-    key = (mono.key, blocks)
-    found = memo.get(key)
-    if found is not None:
+    def block(self, ids: tuple) -> int:
+        return self.block_ids.setdefault(ids, len(self.block_ids))
+
+    def monomials(self) -> list:
+        """Block id -> public ``GLMonomial``."""
+        at = self.segments.__getitem__
+        return [GLMonomial(map(at, ids)) for ids in self.block_ids]
+
+    def table(self, i: int) -> list:
+        """[(rank, top, bottom)] of segment ``i`` [a, b] for each top
+        length l = 0 .. length: top d([b-l+1, b]) and bottom d([a, b-l]),
+        each as a tuple of at most one id (an empty piece has none)."""
+        table = self.tables[i]
+        if table is None:
+            s = self.segments[i]
+            b2, dim = s.b.twice, s.rho.dim
+            table = [(0, (), (i,))]
+            for l in range(1, s.length):
+                top = Segment(s.rho, HalfInt.from_twice(b2 - 2 * l + 2), s.b)
+                bottom = Segment(s.rho, s.a, HalfInt.from_twice(b2 - 2 * l))
+                table.append((l * dim, (self.intern(top),), (self.intern(bottom),)))
+            table.append((s.rank, (i,), ()))
+            self.tables[i] = table
+        return table
+
+    def top_cuts(self, mono: tuple, rank: int) -> dict:
+        """The terms of m*(mono) whose top piece has the given rank, as
+        {(top block id, bottom ids): multiplicity}.
+
+        Only top-length vectors with sum(l * dim) == rank are visited.
+        Different vectors can give the same pair (repeated or overlapping
+        segments), hence the count.
+        """
+        tables = [self.table(i) for i in mono]
+        n = len(tables)
+        # room[k]: the most rank segments k, k+1, ... can still put on top.
+        room = [0] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            room[k] = room[k + 1] + tables[k][-1][0]
+        out: dict = {}
+
+        def choose(k, left, tops, bottoms):
+            if k == n:
+                pair = (self.block(tuple(sorted(tops))), tuple(sorted(bottoms)))
+                out[pair] = out.get(pair, 0) + 1
+                return
+            for r, top, bottom in tables[k]:
+                if r > left:
+                    break
+                if left - r <= room[k + 1]:
+                    choose(k + 1, left - r, tops + top, bottoms + bottom)
+
+        choose(0, rank, (), ())
+        return out
+
+    def split(self, mono: tuple, blocks: tuple) -> list:
+        """[(block ids, multiplicity)] for every way of cutting ``mono``,
+        whose rank is ``sum(blocks)``, into ordered blocks of those
+        ranks."""
+        if len(blocks) <= 1:
+            # The last block takes the whole rest; () splits the unit once.
+            return [((self.block(mono),) if blocks else (), 1)]
+        key = (mono, blocks)
+        found = self.memo.get(key)
+        if found is None:
+            rest = blocks[1:]
+            out: dict = {}
+            for (top, bottom), c in self.top_cuts(mono, blocks[0]).items():
+                for tail, c2 in self.split(bottom, rest):
+                    parts = (top,) + tail
+                    out[parts] = out.get(parts, 0) + c * c2
+            found = self.memo[key] = list(out.items())
         return found
-    head, rest = blocks[0], blocks[1:]
-    out: dict = {}
-    for (top, bottom), c in _top_cuts(mono, head).items():
-        for tail, c2 in _split(bottom, rest, memo):
-            parts = (top,) + tail
-            out[parts] = out.get(parts, 0) + c * c2
-    found = memo[key] = list(out.items())
-    return found
 
 
 def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> FormalSum:
@@ -458,22 +506,34 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             f"but the class only has {g.gl_rank}"
         )
     cap = _max_terms()
-    memo: dict = {}
-    out: dict = {}
+    cutter = _BlockCutter()
+    anchors: dict = {}    # anchor key -> anchor id
+    out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
     for term, c in mu_star(g, mode).items():
         gl, gu = term.factors
         if gl.rank != shape.total:
             continue
-        for parts, c2 in _split(gl, shape.blocks, memo):
-            factors = parts + (gu,)
-            t = TensorTerm._trusted(factors, tuple(f.key for f in factors))
-            size = len(out)
-            old = out.setdefault(t, c * c2)
-            if len(out) == size:
-                out[t] = old + c * c2
+        anchor = anchors.setdefault(gu.key, len(anchors))
+        for parts, c2 in cutter.split(cutter.ids_of(gl), shape.blocks):
+            key = (parts, anchor)
+            entry = out.get(key)
+            if entry is None:
+                out[key] = [c * c2, gu]
+            else:
+                entry[0] += c * c2
         if len(out) > cap:
             raise TermLimitError(
                 f"jacquet_by_shape: partial module of {len(out)} terms exceeds "
                 f"JACQUET_MAX_TERMS ({cap} terms)"
             )
-    return FormalSum._from_terms(out, ("tensor", len(shape) + 1, True))
+    # Every cut is made: free the memo before the output is built, so the
+    # two never take memory at the same time.
+    cutter.memo.clear()
+    monos = cutter.monomials()
+    mono_at = monos.__getitem__
+    key_at = [m.key for m in monos].__getitem__
+    terms: dict = {}
+    for (parts, _), (m, gu) in out.items():
+        factors = tuple(map(mono_at, parts)) + (gu,)
+        terms[TensorTerm._trusted(factors, tuple(map(key_at, parts)) + (gu.key,))] = m
+    return FormalSum._from_terms(terms, ("tensor", len(shape) + 1, True))

@@ -130,6 +130,16 @@ def test_tensor_multiply_checks_the_cap_while_it_grows(monkeypatch):
     assert str(err.value).startswith("tensor_multiply: partial product of 11 terms")
 
 
+def test_gl_multiply_checks_the_cap_while_it_grows(monkeypatch):
+    x = FormalSum({GLMonomial([seg(RHO, i, i)]): 1 for i in range(3)})
+    y = FormalSum({GLMonomial([seg(TAU, i, i)]): 1 for i in range(3)})
+    monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
+    with pytest.raises(TermLimitError) as err:
+        gl_multiply(x, y)
+    assert str(err.value) == (
+        "gl_multiply: partial product of 6 terms exceeds JACQUET_MAX_TERMS (5 terms)")
+
+
 def test_malformed_term_limit(monkeypatch):
     monkeypatch.setenv("JACQUET_MAX_TERMS", "1e6")
     with pytest.raises(JacquetError) as err:
@@ -185,3 +195,11 @@ def test_serialization_shape():
         ],
     }]
     json.dumps(obj)  # must be JSON-clean
+
+
+def test_serialization_shares_no_dicts():
+    # Both terms hold S1; each must get a segment dict of its own.
+    s = FormalSum({GLMonomial([S1]): 1, GLMonomial([S1, S2]): 3})
+    obj = sum_to_obj(s)
+    first, second = (t["term"][0]["segments"][0] for t in obj)
+    assert first == second and first is not second

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 
@@ -520,24 +521,68 @@ class TestJacquetByShape:
                 shapes.add(rng.choice(list(_compositions(total))))
             for mode in GroupMode:
                 for shape in sorted(shapes):
-                    assert jacquet_by_shape(g, shape, mode) == \
-                        unpruned_jacquet_by_shape(g, shape, mode), (g, shape, mode)
+                    assert _same_output(jacquet_by_shape(g, shape, mode),
+                                        unpruned_jacquet_by_shape(g, shape, mode)), \
+                        (g, shape, mode)
+
+    @staticmethod
+    def _check_patterns(patterns: dict):
+        for name, (segments, shapes) in patterns.items():
+            g = GUClass(segments, SIGMA)
+            for mode in GroupMode:
+                for shape in shapes:
+                    assert _same_output(jacquet_by_shape(g, shape, mode),
+                                        unpruned_jacquet_by_shape(g, shape, mode)), \
+                        (name, shape, mode)
 
     def test_matches_unpruned_oracle_workload_patterns(self):
         tau = CuspidalGLLabel("tau", dim=2)
-        patterns = {
+        self._check_patterns({
             "A": ([seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)],
                   [(6,), (3, 3), (1,) * 6, (2, 2, 2)]),
             "B": ([seg(RHO, 0, 2), seg(RHO, 1, 3)], [(2, 1), (1,) * 6, (3, 3)]),
             "C": ([seg(RHO, 0, 1), seg(tau, 1, 2)], [(2, 2, 2), (2, 4)]),
             "D": ([seg(RHO, 0, 3), seg(RHO, 1, 4)], [(2, 1), (8,), (4, 4)]),
-        }
-        for name, (segments, shapes) in patterns.items():
-            g = GUClass(segments, SIGMA)
-            for mode in GroupMode:
-                for shape in shapes:
-                    assert jacquet_by_shape(g, shape, mode) == \
-                        unpruned_jacquet_by_shape(g, shape, mode), (name, shape, mode)
+        })
+
+    def test_matches_unpruned_oracle_repeated_segments(self):
+        # Coincident segments give coincident cut pairs that must be counted;
+        # chi is not self-dual and starts at half-integers.
+        self._check_patterns({
+            "d(0,1)^2": ([seg(RHO, 0, 1)] * 2, [(1,) * 4, (2, 2)]),
+            "d(0,2)^2 d(1,1)": ([seg(RHO, 0, 2)] * 2 + [seg(RHO, 1, 1)], [(1,) * 5]),
+            "chi": ([seg(CHI, h(1), h(3)), seg(CHI, h(-1), h(3)), seg(CHI, h(1), h(1))],
+                    [(1,) * 4, (2, 2), (3, 1), (1, 2, 2), (5,)]),
+        })
+
+    @staticmethod
+    def _shuffle_count(g: GUClass, n: int, mode: GroupMode) -> int:
+        """Sum of c * n! / prod(L_i!) over the mu* terms c * (gl (x) anchor)
+        whose GL factor has rank n: cutting a product of rho segments into
+        1^n gives every shuffle of the segments' exponent strings."""
+        total = 0
+        for term, c in mu_star(g, mode).items():
+            gl = term.factors[0]
+            if gl.rank == n:
+                ways = math.factorial(n)
+                for s in gl.segments:
+                    ways //= math.factorial(s.length)
+                total += c * ways
+        return total
+
+    def test_ones_shape_counts_shuffles(self):
+        g = GUClass([seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)], SIGMA)
+        for mode in GroupMode:
+            for n, expected in ((4, 864), (6, 5_760)):
+                out = jacquet_by_shape(g, (1,) * n, mode)
+                assert out.total_multiplicity() == self._shuffle_count(g, n, mode) \
+                    == expected, (n, mode)
+
+    @pytest.mark.slow
+    def test_ones_shape_counts_shuffles_rank_nine(self):
+        g = GUClass([seg(RHO, 0, 2), seg(RHO, 1, 3), seg(RHO, 2, 4)], SIGMA)
+        out = jacquet_by_shape(g, (1,) * 9)
+        assert out.total_multiplicity() == self._shuffle_count(g, 9, GroupMode.GU)
 
     def test_multiplicity_lookup(self):
         g = GUClass([seg(RHO, 1, 1)], SIGMA)
