@@ -72,6 +72,13 @@ def _once_per_segment(fmt):
     return once
 
 
+def _absorb_fixed(sigma: GUCuspidalLabel, twist: TwistTag) -> TwistTag:
+    """``twist`` with the entries of the labels ``sigma`` declares
+    twist-fixed erased."""
+    fixed = {rho.name for rho in sigma.twist_fixed}
+    return twist.without(fixed) if fixed else twist
+
+
 def _product_text(segments: tuple, segment_text) -> str:
     return " x ".join(map(segment_text, segments)) if segments else "1"
 
@@ -147,8 +154,7 @@ class GUClass(Keyed):
     def __init__(self, segments: Iterable[Segment], sigma: GUCuspidalLabel,
                  twist: TwistTag = TRIVIAL_TWIST):
         segments = _canonical_segments(segments)
-        fixed = {rho.name for rho in sigma.twist_fixed}
-        twist = twist.without(fixed) if fixed else twist
+        twist = _absorb_fixed(sigma, twist)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "twist", twist)
@@ -252,8 +258,9 @@ class FormalSum:
 
     __slots__ = ("_terms", "_kind")
 
-    def __init__(self, terms=(), kind=None):
+    def __init__(self, terms=()):
         data: dict = {}
+        kind = None
         items = terms.items() if isinstance(terms, dict) else terms
         for term, mult in items:
             if mult == 0:
@@ -264,29 +271,27 @@ class FormalSum:
             elif k != kind:
                 raise KindMismatchError(f"mixed term kinds {kind} and {k} in one sum")
             data[term] = data.get(term, 0) + mult
-        data = {t: m for t, m in data.items() if m != 0}
-        if len(data) > _max_terms():
-            raise TermLimitError(
-                f"formal sum exceeds JACQUET_MAX_TERMS ({_max_terms()} terms)"
-            )
-        self._terms = data
-        self._kind = kind
+        self._take(data, kind)
 
-    @classmethod
-    def _from_terms(cls, data: dict, kind) -> "FormalSum":
-        """Take over a finished dict of distinct terms, all of ``kind``.
+    def _take(self, data: dict, kind) -> None:
+        """Hold ``data``, a dict of distinct terms all of ``kind``.
 
-        Zero multiplicities are dropped and the term cap is enforced, as in
-        the public constructor; an empty sum has no kind.
+        Zero multiplicities are dropped and the term cap is enforced; an
+        empty sum has no kind.
         """
         if 0 in data.values():
             data = {t: m for t, m in data.items() if m != 0}
         cap = _max_terms()
         if len(data) > cap:
             raise TermLimitError(f"formal sum exceeds JACQUET_MAX_TERMS ({cap} terms)")
+        self._terms = data
+        self._kind = kind if data else None
+
+    @classmethod
+    def _from_terms(cls, data: dict, kind) -> "FormalSum":
+        """Take over a finished dict of distinct terms, all of ``kind``."""
         out = cls.__new__(cls)
-        out._terms = data
-        out._kind = kind if data else None
+        out._take(data, kind)
         return out
 
     @classmethod
@@ -337,7 +342,7 @@ class FormalSum:
         data = dict(self._terms)
         for t, m in other._terms.items():
             data[t] = data.get(t, 0) + m
-        return FormalSum(data, kind=self._kind or other._kind)
+        return FormalSum._from_terms(data, self._kind or other._kind)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
@@ -345,14 +350,15 @@ class FormalSum:
         return self + (-other)
 
     def __neg__(self):
-        return FormalSum({t: -m for t, m in self._terms.items()}, kind=self._kind)
+        return FormalSum._from_terms({t: -m for t, m in self._terms.items()}, self._kind)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
             return FormalSum.zero()
-        return FormalSum({t: scalar * m for t, m in self._terms.items()}, kind=self._kind)
+        return FormalSum._from_terms({t: scalar * m for t, m in self._terms.items()},
+                                     self._kind)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -436,7 +442,7 @@ def _bilinear(x: FormalSum, y: FormalSum, product, layer: str) -> dict:
 def gl_multiply(x, y) -> FormalSum:
     """Bilinear extension of monomial concatenation in the GL ring."""
     xs, ys = _as_gl_sum(x), _as_gl_sum(y)
-    return FormalSum(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"), kind=("gl",))
+    return FormalSum._from_terms(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"), ("gl",))
 
 
 def _componentwise(tx: TensorTerm, ty: TensorTerm) -> TensorTerm:
@@ -452,7 +458,7 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
-    return FormalSum(_bilinear(x, y, _componentwise, "tensor_multiply"), kind=kx)
+    return FormalSum._from_terms(_bilinear(x, y, _componentwise, "tensor_multiply"), kx)
 
 
 # ---------------------------------------------------------------------------

@@ -20,24 +20,30 @@ This module computes, entirely at the level of formal classes:
   block at a time, taking from each segment only the top pieces whose
   ranks add up to the block's rank.
 
+Every cut of a segment comes from ``_cuts``, the one process-wide memo
+here: a table of the segment's m* cuts and M* terms, the latter with the
+dual and twist of their first piece, built once per segment and label.
+``mstar_gl``, ``mstar_big``, the fold and the block split all read it.
+All functions are pure; the table only saves work.
+
 ``twisted_rtimes`` and ``mu_star`` run one fold kernel, ``_fold``.  It
 numbers every segment a call can produce by canonical key order, so a
 factor is a sorted tuple of small ints and every step but the last merges
-terms in a dict keyed by those tuples and an anchor-twist id.  The last
-step builds each public term once, through the trusted constructors of
-``grothendieck``; nothing is re-sorted or re-validated.  Each step checks
-JACQUET_MAX_TERMS as every new term enters it.
+terms in a dict keyed by those tuples and an anchor-twist id.  ``mu_star``
+feeds it the M* terms from the table; ``twisted_rtimes`` derives the same
+entries from its input sum.  The last step builds each public term once,
+through the trusted constructors of ``grothendieck``; nothing is re-sorted
+or re-validated.  Each step checks JACQUET_MAX_TERMS as every new term
+enters it.
 
 ``jacquet_by_shape`` cuts on ids too, within one call: every segment gets
 an int id when first seen, a GL monomial is a sorted tuple of them, and
-each segment's table of (top rank, top piece, bottom piece) cuts is built
-once.  The memo of cuts is keyed on (id tuple, remaining blocks) and the
-output merges on block ids and an anchor id; a public ``GLMonomial`` is
-built once per distinct block and each output term once.
-
-All functions are pure.  The per-segment comultiplications are memoized
-on the segment and every attribute of its label; the block cuts are
-memoized per ``jacquet_by_shape`` call only.
+each segment's m* cuts are interned into a table of (top rank, top ids,
+bottom ids) once.  The memo of block cuts, per call, is keyed on (id
+tuple, remaining blocks) and the output merges on block ids and an anchor
+id; a public ``GLMonomial`` is built once per distinct block and each
+output term once.  JACQUET_MAX_TERMS is checked as every new entry enters
+a split or the output.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .grothendieck import (
     GLMonomial,
     GUClass,
     TensorTerm,
+    _absorb_fixed,
     _max_terms,
     tensor_multiply,
 )
@@ -104,147 +111,119 @@ class ParabolicShape:
         return len(self.blocks)
 
 
-def _segment_memo(build):
-    """Memoize a per-segment comultiplication.
-
-    Labels compare by name only, so the key also holds every attribute of
-    the label: a same-named label from another registry gets its own
-    entry, never pieces built with the first one's dual.
-    """
-    memo: dict = {}
-
-    def lookup(seg: Segment) -> FormalSum:
-        rho = seg.rho
-        key = (seg.key, rho.dim, rho.conj_self_dual, rho.dual_name)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = build(seg)
-        return out
-
-    return lookup
-
-
-@_segment_memo
-def _mstar_gl_segment(seg: Segment) -> FormalSum:
-    if seg.is_empty:
-        raise SegmentError("m* of the empty segment is not defined")
-    rho, a, b = seg.rho, seg.a, seg.b
-    out: dict = {}
-    i = a - 1
-    while i <= b:
-        t = TensorTerm((
-            GLMonomial((Segment(rho, i + 1, b),)),
-            GLMonomial((Segment(rho, a, i),)),
-        ))
-        out[t] = out.get(t, 0) + 1
-        i = i + 1
-    return FormalSum(out)
-
-
-@_segment_memo
-def _mstar_big_segment(seg: Segment) -> FormalSum:
-    if seg.is_empty:
-        raise SegmentError("M* of the empty segment is not defined")
-    rho, a, b = seg.rho, seg.a, seg.b
-    out: dict = {}
-    i = a - 1
-    while i <= b:
-        j = i
-        while j <= b:
-            t = TensorTerm((
-                GLMonomial((Segment(rho, a, i),)),
-                GLMonomial((Segment(rho, j + 1, b),)),
-                GLMonomial((Segment(rho, i + 1, j),)),
-            ))
-            out[t] = out.get(t, 0) + 1
-            j = j + 1
-        i = i + 1
-    return FormalSum(out)
-
-
-def _unit_tensor(arity: int) -> FormalSum:
-    return FormalSum.of(TensorTerm((GLMonomial.unit(),) * arity))
-
-
-def _comultiply(x, per_segment, arity: int) -> FormalSum:
-    """Extend a per-segment comultiplication multiplicatively and linearly."""
-    if isinstance(x, Segment):
-        return per_segment(x)
-    if isinstance(x, GLMonomial):
-        acc = _unit_tensor(arity)
-        for seg in x.segments:
-            acc = tensor_multiply(acc, per_segment(seg))
-        return acc
-    if isinstance(x, FormalSum):
-        acc = FormalSum.zero()
-        for mono, mult in x.items():
-            acc = acc + mult * _comultiply(mono, per_segment, arity)
-        return acc
-    raise KindMismatchError(f"cannot comultiply {x!r}")
-
-
-def mstar_gl(x) -> FormalSum:
-    """Two-factor comultiplication; the first slot takes the top piece."""
-    return _comultiply(x, _mstar_gl_segment, 2)
-
-
-def mstar_big(x) -> FormalSum:
-    """Three-factor comultiplication, multiplicative over products."""
-    return _comultiply(x, _mstar_big_segment, 3)
-
-
-def _omega_of(mono: GLMonomial) -> TwistTag:
-    """The central-character twist a GL monomial contributes.
+def _omega_of(segments: tuple) -> TwistTag:
+    """The central-character twist a product of segments contributes.
 
     Each segment contributes one entry keyed by its label, with exponent
     equal to the number of cuspidal factors in the segment (so cutting a
     segment and twisting piece by piece accumulates the same tag) and the
     segment's exponent sum as display data.
     """
-    entries = tuple((s.rho.name, s.length, s.exponent_sum()) for s in mono.segments)
-    return TwistTag(entries)
+    return TwistTag(tuple((s.rho.name, s.length, s.exponent_sum()) for s in segments))
+
+
+_CUTS: dict = {}
+
+
+def _cuts(seg: Segment) -> tuple:
+    """(m* cuts, M* terms) of a nonempty segment d([a,b]), built once.
+
+    The m* cuts are (top, bottom) = (d([b-l+1,b]), d([a,b-l])) for top
+    length l = 0 .. length, rising.  The M* terms are (first, second,
+    third, dual of first, twist of first) = (d([a,i]), d([j+1,b]),
+    d([i+1,j]), d([a,i])^dual, omega) for a-1 <= i <= j <= b, i outer; the
+    twist is None when the first piece is empty.  Every piece is a tuple
+    of at most one segment (an empty piece has none).
+
+    Labels compare by name only, so the memo key also holds every
+    attribute of the label: a same-named label from another registry gets
+    its own entry, never pieces built with the first one's dual or dim.
+    """
+    rho = seg.rho
+    key = (seg.key, rho.dim, rho.conj_self_dual, rho.dual_name)
+    found = _CUTS.get(key)
+    if found is None:
+        if seg.is_empty:
+            raise SegmentError("the empty segment has no cuts")
+        n, a2 = seg.length, seg.a.twice
+        # piece[p, q]: the exponents a+p .. a+q-1 of the segment
+        piece = {
+            (p, q): (Segment(rho, HalfInt.from_twice(a2 + 2 * p),
+                             HalfInt.from_twice(a2 + 2 * q - 2)),) if p < q else ()
+            for p in range(n + 1) for q in range(p, n + 1)
+        }
+        gl = [(piece[n - l, n], piece[0, n - l]) for l in range(n + 1)]
+        big = []
+        for p in range(n + 1):
+            first = piece[0, p]
+            dual = tuple(s.dual() for s in first)
+            omega = _omega_of(first) if first else None
+            big += [(first, piece[q, n], piece[p, q], dual, omega) for q in range(p, n + 1)]
+        found = _CUTS[key] = (gl, big)
+    return found
+
+
+def _comultiply(x, arity: int) -> FormalSum:
+    """m* (arity 2) or M* (arity 3) of ``x``, from the segments' cut
+    tables, extended multiplicatively and linearly."""
+    if isinstance(x, Segment):
+        return FormalSum((TensorTerm(tuple(map(GLMonomial, cut[:arity]))), 1)
+                         for cut in _cuts(x)[arity - 2])
+    if isinstance(x, GLMonomial):
+        acc = FormalSum.of(TensorTerm((GLMonomial.unit(),) * arity))
+        for seg in x.segments:
+            acc = tensor_multiply(acc, _comultiply(seg, arity))
+        return acc
+    if isinstance(x, FormalSum):
+        acc = FormalSum.zero()
+        for mono, mult in x.items():
+            acc = acc + mult * _comultiply(mono, arity)
+        return acc
+    raise KindMismatchError(f"cannot comultiply {x!r}")
+
+
+def mstar_gl(x) -> FormalSum:
+    """Two-factor comultiplication; the first slot takes the top piece."""
+    return _comultiply(x, 2)
+
+
+def mstar_big(x) -> FormalSum:
+    """Three-factor comultiplication, multiplicative over products."""
+    return _comultiply(x, 3)
 
 
 def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalSum:
     """Fold the twisted pairing over ``steps``, starting from ``start``.
 
-    ``steps`` is a list of (segment or None, three-factor GL sum); each
-    step computes ``twisted_rtimes(sum, acc, mode)``.  Every segment the
+    ``steps`` is a list of (segment or None, entries); an entry is
+    ((first, second, third, dual of first, twist of first or None),
+    multiplicity), the pieces as segment tuples, the way ``_cuts`` holds
+    the M* terms of a segment.  Each step computes
+    ``twisted_rtimes(sum of the entries, acc, mode)``.  Every segment the
     fold can produce (the dualized first, second and third pieces of the
-    steps' terms, and the segments of ``start``) is interned first as an
-    int numbered in canonical key order, so a sorted int tuple is a
-    canonical factor.  An anchor (label, twist) is interned as a rep id,
-    for the first tag seen with those entries, and a key id, for its
-    (label, twist key).  Every step but the last accumulates into a dict
-    keyed by (GL ids, GU ids, anchor key id) that holds [multiplicity, rep
-    id].  The last step builds the public terms through the trusted
-    constructors, sharing each anchor factor among its terms.
+    entries, and the segments of ``start``) is interned first as an int
+    numbered in canonical key order, so a sorted int tuple is a canonical
+    factor.  An anchor (label, twist) is interned as a rep id, for the
+    first tag seen with those entries, and a key id, for its (label, twist
+    key).  Every step but the last accumulates into a dict keyed by (GL
+    ids, GU ids, anchor key id) that holds [multiplicity, rep id].  The
+    last step builds the public terms through the trusted constructors,
+    sharing each anchor factor among its terms.
 
-    The step's terms are walked outer and the accumulator inner, and a
-    merged term keeps its first rep, so the nu sums a merged twist shows
-    are those of the object-level fold.  ``layer`` names the caller in
-    the ``TermLimitError`` raised as soon as a step grows past the cap.
+    The entries are walked outer and the accumulator inner, and a merged
+    term keeps its first rep, so the nu sums a merged twist shows are
+    those of the object-level fold.  ``layer`` names the caller in the
+    ``TermLimitError`` raised as soon as a step grows past the cap.
     """
     pieces: dict = {}     # segment key -> segment
-
-    def add(segments) -> None:
-        for p in segments:
-            pieces.setdefault(p.key, p)
-
     for tt in start.terms():
         for f in tt.factors:
-            add(f.segments)
-    firsts: dict = {}     # first-factor key -> (dualized segments, omega or None)
-    for _, m in steps:
-        for tm in m.terms():
-            pi1, pi2, pi3 = tm.factors
-            if pi1.key not in firsts:
-                dual = pi1.dual().segments
-                omega = _omega_of(pi1) if mode is GroupMode.GU and pi1.segments else None
-                firsts[pi1.key] = (dual, omega)
-                add(dual)
-            add(pi2.segments)
-            add(pi3.segments)
+            for p in f.segments:
+                pieces.setdefault(p.key, p)
+    for _, entries in steps:
+        for (_, second, third, dual, _), _ in entries:
+            for p in dual + second + third:
+                pieces.setdefault(p.key, p)
     keys = sorted(pieces)
     segs = [pieces[k] for k in keys]
     ids = {k: i for i, k in enumerate(keys)}
@@ -252,13 +231,11 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     def id_tuple(segments) -> tuple:
         return tuple(ids[p.key] for p in segments)
 
-    plans = []            # per step: (segment, [(low ids, mid ids, first key, mult)])
-    for folded, m in steps:
-        plan = []
-        for tm, cm in m.items():
-            pi1, pi2, pi3 = tm.factors
-            low = id_tuple(firsts[pi1.key][0] + pi2.segments)
-            plan.append((low, id_tuple(pi3.segments), pi1.key, cm))
+    twists = mode is GroupMode.GU
+    plans = []            # per step: (segment, [(low ids, mid ids, twist or None, mult)])
+    for folded, entries in steps:
+        plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm)
+                for (_, second, third, dual, omega), cm in entries]
         plans.append((folded, plan))
 
     reps: list = []       # rep id -> (anchor label, twist)
@@ -280,21 +257,18 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         kid, rid = intern(anchor.sigma, anchor.twist)
         acc[(id_tuple(pi4.segments), id_tuple(anchor.segments), kid)] = [ct, rid]
 
-    def mover(first: tuple, moved_by: dict):
-        """rep id -> (key id, rep id) once the first factor ``first`` has
-        twisted the anchor, or None when it does not twist; ``moved_by``
-        caches it for one step."""
-        omega = firsts[first][1]
+    def mover(omega, moved_by: dict):
+        """rep id -> (key id, rep id) once the twist ``omega`` of a first
+        piece has twisted the anchor, or None when there is none;
+        ``moved_by`` caches it for one step."""
         if omega is None:
             return None
-        moved = moved_by.get(first)
+        moved = moved_by.get(omega.entries)
         if moved is None:
-            moved = moved_by[first] = {}
+            moved = moved_by[omega.entries] = {}
             for rid in {v[1] for v in acc.values()}:
                 sigma, twist = reps[rid]
-                twist = twist.merge(omega)
-                fixed = {rho.name for rho in sigma.twist_fixed}
-                moved[rid] = intern(sigma, twist.without(fixed) if fixed else twist)
+                moved[rid] = intern(sigma, _absorb_fixed(sigma, twist.merge(omega)))
         return moved
 
     cap = _max_terms()
@@ -309,8 +283,8 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     for folded, plan in plans[:-1]:
         nxt: dict = {}
         moved_by: dict = {}
-        for low, mid, first, cm in plan:
-            moved = mover(first, moved_by)
+        for low, mid, omega, cm in plan:
+            moved = mover(omega, moved_by)
             for (gl, gu, kid), (ct, rid) in acc.items():
                 if moved is not None:
                     kid, rid = moved[rid]
@@ -331,8 +305,8 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     gus: dict = {}        # (GU ids, rep id) -> GUClass
     moved_by = {}
     out: dict = {}
-    for low, mid, first, cm in plan:
-        moved = mover(first, moved_by)
+    for low, mid, omega, cm in plan:
+        moved = mover(omega, moved_by)
         for gl, gu, ct, rid in flat:
             if moved is not None:
                 rid = moved[rid][1]
@@ -365,7 +339,13 @@ def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
             f"twisted_rtimes needs a three-factor GL sum and a (GL, GU) sum, "
             f"got {m.kind} and {t.kind}"
         )
-    return _fold([(None, m)], t, mode, "twisted_rtimes")
+    entries = []
+    for tm, cm in m.items():
+        pi1, pi2, pi3 = tm.factors
+        omega = _omega_of(pi1.segments) if pi1.segments else None
+        entries.append(((pi1.segments, pi2.segments, pi3.segments,
+                         pi1.dual().segments, omega), cm))
+    return _fold([(None, entries)], t, mode, "twisted_rtimes")
 
 
 def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
@@ -379,7 +359,7 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     if not segments:
         return start
-    steps = [(seg, _mstar_big_segment(seg)) for seg in segments]
+    steps = [(seg, [(entry, 1) for entry in _cuts(seg)[1]]) for seg in segments]
     return _fold(steps, start, mode, "mu_star")
 
 
@@ -398,7 +378,8 @@ class _BlockCutter:
     ``GLMonomial`` is built once per block, at the end.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int):
+        self.cap = cap
         self.ids: dict = {}       # segment key -> segment id
         self.segments: list = []  # segment id -> segment
         self.tables: list = []    # segment id -> cut table, None until used
@@ -425,19 +406,13 @@ class _BlockCutter:
         return [GLMonomial(map(at, ids)) for ids in self.block_ids]
 
     def table(self, i: int) -> list:
-        """[(rank, top, bottom)] of segment ``i`` [a, b] for each top
-        length l = 0 .. length: top d([b-l+1, b]) and bottom d([a, b-l]),
-        each as a tuple of at most one id (an empty piece has none)."""
+        """[(rank, top, bottom)] of segment ``i`` for each m* cut, by
+        rising top length, the pieces as tuples of at most one id."""
         table = self.tables[i]
         if table is None:
-            s = self.segments[i]
-            b2, dim = s.b.twice, s.rho.dim
-            table = [(0, (), (i,))]
-            for l in range(1, s.length):
-                top = Segment(s.rho, HalfInt.from_twice(b2 - 2 * l + 2), s.b)
-                bottom = Segment(s.rho, s.a, HalfInt.from_twice(b2 - 2 * l))
-                table.append((l * dim, (self.intern(top),), (self.intern(bottom),)))
-            table.append((s.rank, (i,), ()))
+            dim, intern = self.segments[i].rho.dim, self.intern
+            table = [(l * dim, tuple(map(intern, top)), tuple(map(intern, bottom)))
+                     for l, (top, bottom) in enumerate(_cuts(self.segments[i])[0])]
             self.tables[i] = table
         return table
 
@@ -481,14 +456,27 @@ class _BlockCutter:
         key = (mono, blocks)
         found = self.memo.get(key)
         if found is None:
-            rest = blocks[1:]
+            rest, cap = blocks[1:], self.cap
             out: dict = {}
             for (top, bottom), c in self.top_cuts(mono, blocks[0]).items():
                 for tail, c2 in self.split(bottom, rest):
                     parts = (top,) + tail
-                    out[parts] = out.get(parts, 0) + c * c2
+                    old = out.get(parts)
+                    if old is None:
+                        if len(out) >= cap:
+                            raise self.too_many(len(out) + 1)
+                        out[parts] = c * c2
+                    else:
+                        out[parts] = old + c * c2
             found = self.memo[key] = list(out.items())
         return found
+
+    def too_many(self, size: int) -> TermLimitError:
+        # A split's cuts of one mu* term are distinct module terms.
+        return TermLimitError(
+            f"jacquet_by_shape: partial module of {size} terms exceeds "
+            f"JACQUET_MAX_TERMS ({self.cap} terms)"
+        )
 
 
 def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> FormalSum:
@@ -506,7 +494,7 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             f"but the class only has {g.gl_rank}"
         )
     cap = _max_terms()
-    cutter = _BlockCutter()
+    cutter = _BlockCutter(cap)
     anchors: dict = {}    # anchor key -> anchor id
     out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
     for term, c in mu_star(g, mode).items():
@@ -518,14 +506,11 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             key = (parts, anchor)
             entry = out.get(key)
             if entry is None:
+                if len(out) >= cap:
+                    raise cutter.too_many(len(out) + 1)
                 out[key] = [c * c2, gu]
             else:
                 entry[0] += c * c2
-        if len(out) > cap:
-            raise TermLimitError(
-                f"jacquet_by_shape: partial module of {len(out)} terms exceeds "
-                f"JACQUET_MAX_TERMS ({cap} terms)"
-            )
     # Every cut is made: free the memo before the output is built, so the
     # two never take memory at the same time.
     cutter.memo.clear()

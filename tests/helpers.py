@@ -15,9 +15,8 @@ from jacquet import (
     TensorTerm,
     TwistTag,
     TRIVIAL_TWIST,
-    mstar_big,
-    mstar_gl,
     mu_star,
+    tensor_multiply,
 )
 
 
@@ -63,6 +62,50 @@ def direct_single_segment_mu(segment: Segment, sigma: GUCuspidalLabel,
     return FormalSum(terms)
 
 
+def _cut_points(a, b):
+    """a - 1, a, ..., b: every cut point of d([a, b])."""
+    i = a - 1
+    while i <= b:
+        yield i
+        i = i + 1
+
+
+def transcribed_mstar_big(segments) -> FormalSum:
+    """M* of the product of ``segments``, transcribed from its display:
+    per segment the double sum of d([a,i]) (x) d([j+1,b]) (x) d([i+1,j])
+    over a-1 <= i <= j <= b, i outer, multiplied out with
+    ``tensor_multiply``.
+
+    Deliberately independent of the cut table in ``structure``.
+    """
+    acc = FormalSum.of(TensorTerm((GLMonomial(),) * 3))
+    for s in segments:
+        rho, a, b = s.rho, s.a, s.b
+        acc = tensor_multiply(acc, FormalSum(
+            (TensorTerm((GLMonomial([Segment(rho, a, i)]),
+                         GLMonomial([Segment(rho, j + 1, b)]),
+                         GLMonomial([Segment(rho, i + 1, j)]))), 1)
+            for i in _cut_points(a, b) for j in _cut_points(i + 1, b)))
+    return acc
+
+
+def transcribed_mstar_gl(segments) -> FormalSum:
+    """m* of the product of ``segments``, transcribed from its display:
+    per segment the sum of d([i+1,b]) (x) d([a,i]) over a-1 <= i <= b,
+    multiplied out with ``tensor_multiply``.
+
+    Deliberately independent of the cut table in ``structure``.
+    """
+    acc = FormalSum.of(TensorTerm((GLMonomial(),) * 2))
+    for s in segments:
+        rho, a, b = s.rho, s.a, s.b
+        acc = tensor_multiply(acc, FormalSum(
+            (TensorTerm((GLMonomial([Segment(rho, i + 1, b)]),
+                         GLMonomial([Segment(rho, a, i)]))), 1)
+            for i in _cut_points(a, b)))
+    return acc
+
+
 def reference_mu_star_of_segments(segments, sigma: GUCuspidalLabel,
                                   twist: TwistTag = TRIVIAL_TWIST,
                                   mode: GroupMode = GroupMode.GU) -> FormalSum:
@@ -78,7 +121,7 @@ def reference_mu_star_of_segments(segments, sigma: GUCuspidalLabel,
     acc = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     for segment in segments:
         out = {}
-        for tm, cm in mstar_big(segment).items():
+        for tm, cm in transcribed_mstar_big([segment]).items():
             pi1, pi2, pi3 = tm.factors
             dual1 = pi1.dual()
             omega = None
@@ -114,7 +157,7 @@ def unpruned_jacquet_by_shape(g: GUClass, blocks: tuple,
         for rank in blocks:
             step = []
             for parts, rest, c1 in partial:
-                for cut, c2 in mstar_gl(rest).items():
+                for cut, c2 in transcribed_mstar_gl(rest.segments).items():
                     top, bottom = cut.factors
                     if top.rank == rank:
                         step.append((parts + (top,), bottom, c1 * c2))

@@ -176,6 +176,30 @@ class TestMuStar:
             }
             assert ("chi~" in names) == has_dual, label
 
+    def test_cut_table_tells_same_named_labels_apart(self):
+        # mstar_gl and the block split read the same per-segment memo as
+        # mu*: every piece must carry the attributes of the call's own
+        # label, and every block the rank that label gives it.
+        for label in (CuspidalGLLabel("chi"), CHI, CuspidalGLLabel("chi"),
+                      CuspidalGLLabel("tau", dim=1), CuspidalGLLabel("tau", dim=2),
+                      CuspidalGLLabel("tau", dim=1)):
+            attrs = (label.dim, label.conj_self_dual)
+            s = seg(label, 0, 1)
+            for term in mstar_gl(s).terms():
+                for f in term.factors:
+                    assert all((p.rho.dim, p.rho.conj_self_dual) == attrs
+                               for p in f.segments), label
+            out = jacquet_by_shape(GUClass([s], SIGMA), (label.dim, label.dim))
+            names = set()
+            for term in out.terms():
+                *blocks, anchor = term.factors
+                assert [b.rank for b in blocks] == [label.dim, label.dim], label
+                for p in [p for b in blocks for p in b.segments] + list(anchor.segments):
+                    assert (p.rho.dim, p.rho.conj_self_dual) == attrs, label
+                    names.add(p.rho.name)
+            duals = set() if label.conj_self_dual else {label.dual_name}
+            assert names == {label.name} | duals, label
+
     def test_matches_direct_transcription(self):
         for segment in [
             seg(RHO, 1, 1),
@@ -504,6 +528,17 @@ class TestJacquetByShape:
         found = re.match(r"jacquet_by_shape: partial module of (\d+) terms",
                          str(err.value))
         assert found and 2000 < int(found.group(1)) < 10_000
+
+    def test_term_cap_stops_a_split(self, monkeypatch):
+        # mu* has 3^8 = 6,561 terms; one rank-8 term of eight distinct
+        # points alone splits into 8! = 40,320 terms along 1^8.
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "7000")
+        g = GUClass([seg(RHO, 2 * i, 2 * i) for i in range(8)], SIGMA)
+        with pytest.raises(TermLimitError) as err:
+            jacquet_by_shape(g, (1,) * 8)
+        assert str(err.value).startswith(
+            "jacquet_by_shape: partial module of 7001 terms exceeds "
+            "JACQUET_MAX_TERMS (7000 terms)")
 
     def test_matches_unpruned_oracle_random(self):
         labels, sigma = make_mixed_labels()
