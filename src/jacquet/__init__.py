@@ -25,7 +25,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .scalars import (
-    HALF,
     CuspidalGLLabel,
     GUCuspidalLabel,
     HalfInt,
@@ -47,7 +46,6 @@ from .grothendieck import (
 )
 from .structure import (
     GroupMode,
-    ParabolicShape,
     jacquet_by_shape,
     mstar_big,
     mstar_gl,

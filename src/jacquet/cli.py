@@ -156,8 +156,12 @@ def _parse_shape(text: str) -> tuple:
         raise JacquetError(f"invalid shape {text!r}; expected n1,n2,...") from None
 
 
-def _emit(args, obj: dict, text_lines) -> None:
-    if getattr(args, "format", "text") == "json":
+def _wants_json(args) -> bool:
+    return getattr(args, "format", "text") == "json"
+
+
+def _emit(args, obj: "dict | None", text_lines) -> None:
+    if _wants_json(args):
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -166,20 +170,26 @@ def _emit(args, obj: dict, text_lines) -> None:
 
 def _sum_report(args, command: str, expr: Expression, result: FormalSum,
                 shape=None) -> None:
-    """Print ``result``; a ``shape`` goes into the JSON and the header."""
+    """Print ``result`` in the format asked for, building only that form;
+    a ``shape`` goes into the JSON and the header."""
     text = format_expression(expr)
-    obj = {"command": command, "group": getattr(args, "group", "GU"), "input": text}
-    header = f"{command} of {text} [{obj['group']}]:"
-    if shape is not None:
-        obj["shape"] = list(shape)
-        header = f"{command} module of {text} along {list(shape)}:"
-    obj["terms"] = sum_to_obj(result)
-    lines = [header]
+    group = getattr(args, "group", "GU")
+    if _wants_json(args):
+        obj = {"command": command, "group": group, "input": text}
+        if shape is not None:
+            obj["shape"] = list(shape)
+        obj["terms"] = sum_to_obj(result)
+        _emit(args, obj, ())
+        return
+    if shape is None:
+        lines = [f"{command} of {text} [{group}]:"]
+    else:
+        lines = [f"{command} module of {text} along {list(shape)}:"]
     for term, mult in result.sorted_items():
         prefix = "" if mult == 1 else f"{mult}*"
         lines.append(f"  {prefix}{term}")
     lines.append(f"  ({len(result)} terms)")
-    _emit(args, obj, lines)
+    _emit(args, None, lines)
 
 
 def _cmd_mustar(args) -> int:

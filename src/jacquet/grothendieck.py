@@ -51,6 +51,11 @@ def _max_terms() -> int:
         ) from None
 
 
+def _over_cap(what: str, size: int, cap: int) -> TermLimitError:
+    """The error for ``what`` grown to ``size`` terms, past the cap."""
+    return TermLimitError(f"{what} of {size} terms exceeds JACQUET_MAX_TERMS ({cap} terms)")
+
+
 _by_key = attrgetter("key")
 
 
@@ -256,7 +261,7 @@ def term_kind(term: Monomial) -> tuple:
 class FormalSum:
     """Exact Z-linear combination of canonical monomials of one kind."""
 
-    __slots__ = ("_terms", "_kind")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         data: dict = {}
@@ -271,27 +276,25 @@ class FormalSum:
             elif k != kind:
                 raise KindMismatchError(f"mixed term kinds {kind} and {k} in one sum")
             data[term] = data.get(term, 0) + mult
-        self._take(data, kind)
+        self._take(data)
 
-    def _take(self, data: dict, kind) -> None:
-        """Hold ``data``, a dict of distinct terms all of ``kind``.
+    def _take(self, data: dict) -> None:
+        """Hold ``data``, a dict of distinct terms all of one kind.
 
-        Zero multiplicities are dropped and the term cap is enforced; an
-        empty sum has no kind.
+        Zero multiplicities are dropped and the term cap is enforced.
         """
         if 0 in data.values():
             data = {t: m for t, m in data.items() if m != 0}
         cap = _max_terms()
         if len(data) > cap:
-            raise TermLimitError(f"formal sum exceeds JACQUET_MAX_TERMS ({cap} terms)")
+            raise _over_cap("formal sum", len(data), cap)
         self._terms = data
-        self._kind = kind if data else None
 
     @classmethod
-    def _from_terms(cls, data: dict, kind) -> "FormalSum":
-        """Take over a finished dict of distinct terms, all of ``kind``."""
+    def _from_terms(cls, data: dict) -> "FormalSum":
+        """Take over a finished dict of distinct terms, all of one kind."""
         out = cls.__new__(cls)
-        out._take(data, kind)
+        out._take(data)
         return out
 
     @classmethod
@@ -304,7 +307,11 @@ class FormalSum:
 
     @property
     def kind(self):
-        return self._kind
+        """``term_kind`` of the terms, all of which share it; None for the
+        zero sum."""
+        for term in self._terms:
+            return term_kind(term)
+        return None
 
     @property
     def is_zero(self) -> bool:
@@ -327,22 +334,19 @@ class FormalSum:
         nonnegative sums)."""
         return sum(self._terms.values())
 
-    def _check_kind(self, other: "FormalSum"):
-        if self._kind is not None and other._kind is not None and self._kind != other._kind:
-            raise KindMismatchError(f"cannot combine {self._kind} with {other._kind}")
-
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        self._check_kind(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
+        if self.kind != other.kind:
+            raise KindMismatchError(f"cannot combine {self.kind} with {other.kind}")
         data = dict(self._terms)
         for t, m in other._terms.items():
             data[t] = data.get(t, 0) + m
-        return FormalSum._from_terms(data, self._kind or other._kind)
+        return FormalSum._from_terms(data)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
@@ -350,21 +354,20 @@ class FormalSum:
         return self + (-other)
 
     def __neg__(self):
-        return FormalSum._from_terms({t: -m for t, m in self._terms.items()}, self._kind)
+        return FormalSum._from_terms({t: -m for t, m in self._terms.items()})
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
             return FormalSum.zero()
-        return FormalSum._from_terms({t: scalar * m for t, m in self._terms.items()},
-                                     self._kind)
+        return FormalSum._from_terms({t: scalar * m for t, m in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.__rmul__(other)
         if isinstance(other, FormalSum):
-            if self._kind == ("gl",) or other._kind == ("gl",):
+            if self.kind == ("gl",) or other.kind == ("gl",):
                 return gl_multiply(self, other)
             return tensor_multiply(self, other)
         return NotImplemented
@@ -408,7 +411,7 @@ class FormalSum:
 
 def _as_gl_sum(x) -> FormalSum:
     if isinstance(x, FormalSum):
-        if x._kind not in (None, ("gl",)):
+        if x.kind not in (None, ("gl",)):
             raise KindMismatchError("expected a sum over GL monomials")
         return x
     if isinstance(x, GLMonomial):
@@ -429,10 +432,7 @@ def _bilinear(x: FormalSum, y: FormalSum, product, layer: str) -> dict:
             old = out.get(t)
             if old is None:
                 if len(out) >= cap:
-                    raise TermLimitError(
-                        f"{layer}: partial product of {len(out) + 1} terms "
-                        f"exceeds JACQUET_MAX_TERMS ({cap} terms)"
-                    )
+                    raise _over_cap(f"{layer}: partial product", len(out) + 1, cap)
                 out[t] = cx * cy
             else:
                 out[t] = old + cx * cy
@@ -442,7 +442,7 @@ def _bilinear(x: FormalSum, y: FormalSum, product, layer: str) -> dict:
 def gl_multiply(x, y) -> FormalSum:
     """Bilinear extension of monomial concatenation in the GL ring."""
     xs, ys = _as_gl_sum(x), _as_gl_sum(y)
-    return FormalSum._from_terms(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"), ("gl",))
+    return FormalSum._from_terms(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"))
 
 
 def _componentwise(tx: TensorTerm, ty: TensorTerm) -> TensorTerm:
@@ -458,7 +458,7 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
-    return FormalSum._from_terms(_bilinear(x, y, _componentwise, "tensor_multiply"), kx)
+    return FormalSum._from_terms(_bilinear(x, y, _componentwise, "tensor_multiply"))
 
 
 # ---------------------------------------------------------------------------

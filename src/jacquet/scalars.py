@@ -19,7 +19,6 @@ from .errors import LabelConflictError, UnknownLabelError
 __all__ = [
     "Keyed",
     "HalfInt",
-    "HALF",
     "halfint_ceil",
     "CuspidalGLLabel",
     "GUCuspidalLabel",
@@ -186,9 +185,6 @@ def _parse_twice(text: str) -> int:
     return -t if neg else t
 
 
-HALF = HalfInt.from_twice(1)
-
-
 def halfint_ceil(x: "HalfInt | int") -> int:
     """Least integer >= x."""
     return HalfInt(x).ceil() if not isinstance(x, HalfInt) else x.ceil()
@@ -204,7 +200,7 @@ class CuspidalGLLabel:
     """Opaque label for an irreducible cuspidal representation of a GL group.
 
     Equality and hashing go by name only; the registry is responsible for
-    rejecting one name with two different attribute sets.
+    rejecting one name with two different ``attributes``.
     """
 
     name: str
@@ -218,6 +214,12 @@ class CuspidalGLLabel:
         if not self.dual_name:
             partner = self.name if self.conj_self_dual else self.name + DUAL_MARKER
             object.__setattr__(self, "dual_name", partner)
+
+    @property
+    def attributes(self) -> tuple:
+        """(dim, conj_self_dual, dual_name): everything but the name, which
+        two labels of one name must agree on."""
+        return (self.dim, self.conj_self_dual, self.dual_name)
 
     def dual(self) -> "CuspidalGLLabel":
         """The conjugate-dual label; an involution."""
@@ -367,9 +369,7 @@ class LabelRegistry:
         with self._lock:
             existing = self._gl.get(name)
             if existing is not None:
-                if (existing.dim, existing.conj_self_dual, existing.dual_name) != (
-                    label.dim, label.conj_self_dual, label.dual_name
-                ):
+                if existing.attributes != label.attributes:
                     raise LabelConflictError(
                         f"GL label {name!r} redeclared with different attributes"
                     )
@@ -407,9 +407,3 @@ class LabelRegistry:
             return self._gu[name]
         except KeyError:
             raise UnknownLabelError(f"unknown GU label {name!r}") from None
-
-    def gl_names(self):
-        return sorted(self._gl)
-
-    def gu_names(self):
-        return sorted(self._gu)

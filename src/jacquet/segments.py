@@ -78,13 +78,6 @@ class Segment(Keyed):
             raise SegmentError("the empty segment is neither positive nor not")
         return self.a > 0
 
-    def exponents(self):
-        """Iterate the exponents a, a+1, ..., b."""
-        t = self.a.twice
-        while t <= self.b.twice:
-            yield HalfInt.from_twice(t)
-            t += 2
-
     def exponent_sum(self) -> HalfInt:
         """Sum of all exponents in the segment; 0 for the empty segment."""
         return HalfInt.from_twice(self.length * (self.a.twice + self.b.twice) // 2)

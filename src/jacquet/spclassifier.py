@@ -35,7 +35,7 @@ from .scalars import (
     halfint_ceil,
 )
 from .segments import Segment
-from .structure import GroupMode, ParabolicShape, jacquet_by_shape
+from .structure import GroupMode, jacquet_by_shape
 
 __all__ = [
     "JordSequence",
@@ -329,7 +329,7 @@ def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
 def _leading_multiplicity(rep: GUClass, mode: GroupMode) -> int:
     """Coefficient of (each segment in its own block, bare anchor) in the
     Jacquet module of ``rep`` along its segment ranks."""
-    shape = ParabolicShape(tuple(seg.rank for seg in rep.segments))
+    shape = tuple(seg.rank for seg in rep.segments)
     target = TensorTerm(
         tuple(GLMonomial((seg,)) for seg in rep.segments)
         + (GUClass((), rep.sigma, TRIVIAL_TWIST),)

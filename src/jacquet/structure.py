@@ -14,11 +14,11 @@ This module computes, entirely at the level of formal classes:
   central-character twist (U mode contributes none);
 * ``mu_star``    -- the full structure formula, folding the pairing over
   the segment list of a class;
-* ``jacquet_by_shape`` -- the semisimplified Jacquet module along an
-  ordered block shape: the ``mu_star`` terms whose GL factor has the
-  shape's total rank, with that factor cut into blocks directly, one
-  block at a time, taking from each segment only the top pieces whose
-  ranks add up to the block's rank.
+* ``jacquet_by_shape`` -- the semisimplified Jacquet module along a
+  shape, a tuple of GL block ranks in order: the ``mu_star`` terms whose
+  GL factor has the shape's total rank, with that factor cut into blocks
+  directly, one block at a time, taking from each segment only the top
+  pieces whose ranks add up to the block's rank.
 
 Every cut of a segment comes from ``_cuts``, the one process-wide memo
 here: a table of the segment's m* cuts and M* terms, the latter with the
@@ -37,7 +37,8 @@ or re-validated.  Each step checks JACQUET_MAX_TERMS as every new term
 enters it.
 
 ``jacquet_by_shape`` cuts on ids too, within one call: every segment gets
-an int id when first seen, a GL monomial is a sorted tuple of them, and
+an int id and its rank is read when it is first seen, so the rank filter
+on the mu* terms adds up ints, a GL monomial is a sorted tuple of ids, and
 each segment's m* cuts are interned into a table of (top rank, top ids,
 bottom ids) once.  The memo of block cuts, per call, is keyed on (id
 tuple, remaining blocks) and the output merges on block ids and an anchor
@@ -49,10 +50,9 @@ a split or the output.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import KindMismatchError, SegmentError, ShapeError, TermLimitError
+from .errors import KindMismatchError, SegmentError, ShapeError
 from .grothendieck import (
     FormalSum,
     GLMonomial,
@@ -60,6 +60,7 @@ from .grothendieck import (
     TensorTerm,
     _absorb_fixed,
     _max_terms,
+    _over_cap,
     tensor_multiply,
 )
 from .scalars import HalfInt, TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
@@ -67,7 +68,6 @@ from .segments import Segment
 
 __all__ = [
     "GroupMode",
-    "ParabolicShape",
     "mstar_gl",
     "mstar_big",
     "twisted_rtimes",
@@ -86,29 +86,6 @@ class GroupMode(enum.Enum):
 
     GU = "GU"
     U = "U"
-
-
-@dataclass(frozen=True, slots=True)
-class ParabolicShape:
-    """Ordered block ranks of a standard parabolic's GL part."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
-        if any(b <= 0 for b in blocks):
-            raise ShapeError(f"shape blocks must be positive, got {blocks}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def total(self) -> int:
-        return sum(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 def _omega_of(segments: tuple) -> TwistTag:
@@ -135,12 +112,12 @@ def _cuts(seg: Segment) -> tuple:
     twist is None when the first piece is empty.  Every piece is a tuple
     of at most one segment (an empty piece has none).
 
-    Labels compare by name only, so the memo key also holds every
-    attribute of the label: a same-named label from another registry gets
-    its own entry, never pieces built with the first one's dual or dim.
+    Labels compare by name only, so the memo key also holds the label's
+    ``attributes``: a same-named label from another registry gets its own
+    entry, never pieces built with the first one's dual or dim.
     """
     rho = seg.rho
-    key = (seg.key, rho.dim, rho.conj_self_dual, rho.dual_name)
+    key = (seg.key, rho.attributes)
     found = _CUTS.get(key)
     if found is None:
         if seg.is_empty:
@@ -232,11 +209,13 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         return tuple(ids[p.key] for p in segments)
 
     twists = mode is GroupMode.GU
-    plans = []            # per step: (segment, [(low ids, mid ids, twist or None, mult)])
+    plans = []            # per step: (what, [(low ids, mid ids, twist or None, mult)])
     for folded, entries in steps:
+        where = f" folding {folded}," if folded is not None else ""
+        what = f"{layer}:{where} partial sum"    # what a TermLimitError names
         plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm)
                 for (_, second, third, dual, omega), cm in entries]
-        plans.append((folded, plan))
+        plans.append((what, plan))
 
     reps: list = []       # rep id -> (anchor label, twist)
     rep_key: list = []    # rep id -> anchor key id
@@ -272,15 +251,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         return moved
 
     cap = _max_terms()
-
-    def too_many(size: int, folded) -> TermLimitError:
-        where = f" folding {folded}," if folded is not None else ""
-        return TermLimitError(
-            f"{layer}:{where} partial sum of {size} terms exceeds "
-            f"JACQUET_MAX_TERMS ({cap} terms)"
-        )
-
-    for folded, plan in plans[:-1]:
+    for what, plan in plans[:-1]:
         nxt: dict = {}
         moved_by: dict = {}
         for low, mid, omega, cm in plan:
@@ -293,12 +264,12 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
                 if entry is None:
                     nxt[key] = [cm * ct, rid]
                     if len(nxt) > cap:
-                        raise too_many(len(nxt), folded)
+                        raise _over_cap(what, len(nxt), cap)
                 else:
                     entry[0] += cm * ct
         acc = nxt
 
-    folded, plan = plans[-1]
+    what, plan = plans[-1]
     seg_at, key_at = segs.__getitem__, keys.__getitem__
     new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
     flat = [(gl, gu, ct, rid) for (gl, gu, _), (ct, rid) in acc.items()]
@@ -326,8 +297,8 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
             if len(out) == size:
                 out[term] = old + c
             elif size >= cap:
-                raise too_many(size + 1, folded)
-    return FormalSum._from_terms(out, ("tensor", 2, True))
+                raise _over_cap(what, size + 1, cap)
+    return FormalSum._from_terms(out)
 
 
 def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
@@ -382,6 +353,7 @@ class _BlockCutter:
         self.cap = cap
         self.ids: dict = {}       # segment key -> segment id
         self.segments: list = []  # segment id -> segment
+        self.ranks: list = []     # segment id -> rank
         self.tables: list = []    # segment id -> cut table, None until used
         self.block_ids: dict = {}  # id tuple -> block id
         self.memo: dict = {}      # (id tuple, blocks) -> [(block ids, multiplicity)]
@@ -391,11 +363,9 @@ class _BlockCutter:
         if i is None:
             i = self.ids[seg.key] = len(self.segments)
             self.segments.append(seg)
+            self.ranks.append(seg.rank)
             self.tables.append(None)
         return i
-
-    def ids_of(self, mono: GLMonomial) -> tuple:
-        return tuple(sorted(map(self.intern, mono.segments)))
 
     def block(self, ids: tuple) -> int:
         return self.block_ids.setdefault(ids, len(self.block_ids))
@@ -464,50 +434,51 @@ class _BlockCutter:
                     old = out.get(parts)
                     if old is None:
                         if len(out) >= cap:
-                            raise self.too_many(len(out) + 1)
+                            # The cuts of one mu* term are distinct module terms.
+                            raise _over_cap("jacquet_by_shape: partial module",
+                                            len(out) + 1, cap)
                         out[parts] = c * c2
                     else:
                         out[parts] = old + c * c2
             found = self.memo[key] = list(out.items())
         return found
 
-    def too_many(self, size: int) -> TermLimitError:
-        # A split's cuts of one mu* term are distinct module terms.
-        return TermLimitError(
-            f"jacquet_by_shape: partial module of {size} terms exceeds "
-            f"JACQUET_MAX_TERMS ({self.cap} terms)"
-        )
-
 
 def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> FormalSum:
-    """Semisimplified Jacquet module of ``g`` along an ordered shape.
+    """Semisimplified Jacquet module of ``g`` along ``shape``, an
+    iterable of GL block ranks in order.
 
     Terms have one GL factor per block (exact rank match) followed by the
-    anchor factor.  Raises ``TermLimitError`` as soon as the partial
-    module exceeds JACQUET_MAX_TERMS.
+    anchor factor.  Raises ``ShapeError`` for a block that is not
+    positive or a total above the GL rank of ``g``, and
+    ``TermLimitError`` as soon as the partial module exceeds
+    JACQUET_MAX_TERMS.
     """
-    if not isinstance(shape, ParabolicShape):
-        shape = ParabolicShape(tuple(shape))
-    if shape.total > g.gl_rank:
+    shape = tuple(int(b) for b in shape)
+    if any(b <= 0 for b in shape):
+        raise ShapeError(f"shape blocks must be positive, got {shape}")
+    total = sum(shape)
+    if total > g.gl_rank:
         raise ShapeError(
-            f"shape {shape.blocks} needs GL rank {shape.total}, "
-            f"but the class only has {g.gl_rank}"
+            f"shape {shape} needs GL rank {total}, but the class only has {g.gl_rank}"
         )
     cap = _max_terms()
     cutter = _BlockCutter(cap)
     anchors: dict = {}    # anchor key -> anchor id
     out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
+    intern, rank_of = cutter.intern, cutter.ranks.__getitem__
     for term, c in mu_star(g, mode).items():
         gl, gu = term.factors
-        if gl.rank != shape.total:
+        ids = tuple(map(intern, gl.segments))
+        if sum(map(rank_of, ids)) != total:
             continue
         anchor = anchors.setdefault(gu.key, len(anchors))
-        for parts, c2 in cutter.split(cutter.ids_of(gl), shape.blocks):
+        for parts, c2 in cutter.split(tuple(sorted(ids)), shape):
             key = (parts, anchor)
             entry = out.get(key)
             if entry is None:
                 if len(out) >= cap:
-                    raise cutter.too_many(len(out) + 1)
+                    raise _over_cap("jacquet_by_shape: partial module", len(out) + 1, cap)
                 out[key] = [c * c2, gu]
             else:
                 entry[0] += c * c2
@@ -521,4 +492,4 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     for (parts, _), (m, gu) in out.items():
         factors = tuple(map(mono_at, parts)) + (gu,)
         terms[TensorTerm._trusted(factors, tuple(map(key_at, parts)) + (gu.key,))] = m
-    return FormalSum._from_terms(terms, ("tensor", len(shape) + 1, True))
+    return FormalSum._from_terms(terms)

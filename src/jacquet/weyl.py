@@ -311,16 +311,20 @@ def _parabolic_subgroup(n: int, omit: int) -> frozenset:
     return frozenset(seen)
 
 
-def brute_force_coset_reps(n: int, i1: int, i2: int, *, max_n: int = 4) -> frozenset:
+# The largest rank searched: the group has 2^n n! elements, 384 at rank 4.
+_BRUTE_FORCE_MAX_N = 4
+
+
+def brute_force_coset_reps(n: int, i1: int, i2: int) -> frozenset:
     """Minimal-length double-coset representatives, by exhaustive search.
 
     The left parabolic omits the i1-th simple reflection, the right one the
     i2-th.  Raises if the minimum within some coset is not unique, which
     would falsify minimality of the returned representatives.
     """
-    if n > max_n:
+    if n > _BRUTE_FORCE_MAX_N:
         raise BruteForceBoundError(
-            f"exhaustive search over rank {n} exceeds the bound {max_n}"
+            f"exhaustive search over rank {n} exceeds the bound {_BRUTE_FORCE_MAX_N}"
         )
     if not (1 <= i1 <= n and 1 <= i2 <= n):
         raise InvalidParamsError(f"need 1 <= i1, i2 <= n, got n={n}, i1={i1}, i2={i2}")

@@ -235,6 +235,10 @@ class TestCommands:
     def test_domain_error_exit_code(self, capsys):
         assert main(["mustar", "d(2,1@rho) |x| sigma"]) == 1
         assert main(["jacquet", "d(1,1@rho) |x| sigma", "--shape", "5"]) == 1
+        capsys.readouterr()
+        assert main(["jacquet", "d(0,1@rho) |x| sigma", "--shape", "1,0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     @pytest.mark.parametrize("doc", [
         [{"name": "rho"}],

@@ -81,6 +81,10 @@ def test_kind_mismatch():
     gusum = FormalSum.of(GUClass([S1], SIGMA))
     with pytest.raises(KindMismatchError):
         glsum + gusum
+    assert (-gusum).kind == (3 * gusum).kind == gusum.kind == ("gu",)
+    cancelled = glsum - glsum
+    assert cancelled.is_zero and cancelled.kind is None
+    assert cancelled + gusum == gusum and gusum + cancelled == gusum
 
 
 def test_arity_mismatch():
@@ -115,8 +119,10 @@ def test_tensor_multiply_examples():
 def test_term_limit(monkeypatch):
     monkeypatch.setenv("JACQUET_MAX_TERMS", "3")
     monos = [GLMonomial([seg(RHO, i, i)]) for i in range(5)]
-    with pytest.raises(TermLimitError):
+    with pytest.raises(TermLimitError) as err:
         FormalSum((m, 1) for m in monos)
+    assert str(err.value) == (
+        "formal sum of 5 terms exceeds JACQUET_MAX_TERMS (3 terms)")
 
 
 def test_tensor_multiply_checks_the_cap_while_it_grows(monkeypatch):

@@ -484,8 +484,9 @@ class TestJacquetByShape:
 
     def test_shape_overflow(self):
         g = GUClass([seg(RHO, 1, 1)], SIGMA)
-        with pytest.raises(ShapeError):
-            jacquet_by_shape(g, (2,))
+        for shape in ((2,), (1, 0), (-1, 3)):
+            with pytest.raises(ShapeError):
+                jacquet_by_shape(g, shape)
 
     def test_ordered_blocks_with_wider_label(self):
         tau = CuspidalGLLabel("tau", dim=2)
