@@ -332,9 +332,12 @@ def _cmd_enum_sp(args) -> int:
 
 def _cmd_check_lj(args) -> int:
     registry = load_declarations(args.decls)
-    with open(args.datum, encoding="utf-8") as handle:
-        datum_obj = json.load(handle)
-    datum = lj_from_obj(datum_obj, registry.gl, registry.gu)
+    try:
+        with open(args.datum, encoding="utf-8") as handle:
+            datum_obj = json.load(handle)
+        datum = lj_from_obj(datum_obj, registry.gl, registry.gu)
+    except (JacquetError, ValueError) as exc:
+        raise JacquetError(f"{args.datum}: {exc}") from None
     report = validate_lj(datum, strict=args.strict_jord)
     obj = {"command": "check-lj", "datum": datum_obj, **report.to_obj()}
     lines = [f"datum {datum}:"]
@@ -425,10 +428,7 @@ def run_command(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except JacquetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (JacquetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .errors import (
     InvalidDatumError,
+    JacquetError,
     TwistFixednessWarning,
     UndeclaredReducibilityError,
 )
@@ -418,14 +419,20 @@ def lj_to_obj(datum: LJDatum) -> dict:
 
 
 def lj_from_obj(obj: dict, gl_resolver, gu_resolver) -> LJDatum:
-    """Rebuild a datum from its JSON form, resolving names via callables."""
-    sigma = gu_resolver(obj["sigma"])
-    jord = tuple(
-        JordSequence(
-            gl_resolver(entry["rho"]),
-            HalfInt(entry["a"]),
-            tuple(HalfInt(x) for x in entry["b"]),
-        )
-        for entry in obj.get("jord", ())
-    )
-    return LJDatum(jord, sigma)
+    """Rebuild a datum from its JSON form, resolving names via callables.
+    Raises ``JacquetError`` naming the entry for anything not of that form;
+    an exponent is a string or an int, never a bool or a float."""
+    entries = obj.get("jord", []) if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not isinstance(obj.get("sigma"), str):
+        raise JacquetError("the top level must be an object with a string 'sigma' "
+                           "and a list 'jord'")
+    jord = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("rho"), str):
+            raise JacquetError(f"jord[{i}] must be an object with a string 'rho'")
+        a, b = entry.get("a"), entry.get("b")
+        if not isinstance(b, list) or any(type(x) not in (str, int) for x in [a, *b]):
+            raise JacquetError(f"jord[{i}] ({entry['rho']!r}): 'a' must be a string "
+                               "or an int and 'b' a list of those")
+        jord.append(JordSequence(gl_resolver(entry["rho"]), a, b))
+    return LJDatum(tuple(jord), gu_resolver(obj["sigma"]))

@@ -26,30 +26,26 @@ dual and twist of their first piece, built once per segment and label.
 ``mstar_gl``, ``mstar_big``, the fold and the block split all read it.
 All functions are pure; the table only saves work.
 
-``twisted_rtimes`` and ``mu_star`` run one fold kernel, ``_fold``.  It
-numbers every segment a call can produce by canonical key order, so a
-factor is a sorted tuple of small ints and every step but the last merges
-terms in a dict keyed by those tuples and an anchor-twist id.  ``mu_star``
-feeds it the M* terms from the table; ``twisted_rtimes`` derives the same
-entries from its input sum.  The last step builds each public term once,
-through the trusted constructors of ``grothendieck``; nothing is re-sorted
-or re-validated.  Each step checks JACQUET_MAX_TERMS as every new term
-enters it.
-
-``jacquet_by_shape`` cuts on ids too, within one call: every segment gets
-an int id and its rank is read when it is first seen, so the rank filter
-on the mu* terms adds up ints, a GL monomial is a sorted tuple of ids, and
-each segment's m* cuts are interned into a table of (top rank, top ids,
-bottom ids) once.  The memo of block cuts, per call, is keyed on (id
-tuple, remaining blocks) and the output merges on block ids and an anchor
-id; a public ``GLMonomial`` is built once per distinct block and each
-output term once.  JACQUET_MAX_TERMS is checked as every new entry enters
-a split or the output.
+Both hot loops run on segment ids within one call, numbered by
+``_numbering`` in canonical key order, so a sorted id tuple is a
+canonical GL factor: its public form is read off by id and built once,
+through the trusted constructors of ``grothendieck``.  ``twisted_rtimes``
+and ``mu_star`` run one fold kernel, ``_fold``, which numbers every
+segment its steps can produce and, at every step but the last, merges
+terms in a dict keyed by id tuples and an anchor-twist id.
+``jacquet_by_shape`` numbers, before any cut, the sub-segments of the
+class's segments and of their duals: every piece a mu* GL factor or a
+cut of one can hold.  Its rank filter adds up ranks read once per id; a
+segment's m* cuts become a table of (top rank, top ids, bottom ids) when
+first needed, and the per-call memo of block cuts is keyed on (id tuple,
+remaining blocks).  Every fold step, split and output checks
+JACQUET_MAX_TERMS as each new term enters it.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Sequence
 
 from .errors import KindMismatchError, SegmentError, ShapeError
@@ -140,6 +136,15 @@ def _cuts(seg: Segment) -> tuple:
     return found
 
 
+def _numbering(segments) -> tuple:
+    """(segments, keys, ids) of the distinct ``segments`` in canonical key
+    order: id i is ``segments[i]``, with key ``keys[i]``, and ``ids`` maps
+    a key to its id, so a sorted id tuple lists segments in that order."""
+    by_key = {s.key: s for s in segments}
+    keys = sorted(by_key)
+    return [by_key[k] for k in keys], keys, {k: i for i, k in enumerate(keys)}
+
+
 def _comultiply(x, arity: int) -> FormalSum:
     """m* (arity 2) or M* (arity 3) of ``x``, from the segments' cut
     tables, extended multiplicatively and linearly."""
@@ -178,9 +183,8 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     the M* terms of a segment.  Each step computes
     ``twisted_rtimes(sum of the entries, acc, mode)``.  Every segment the
     fold can produce (the dualized first, second and third pieces of the
-    entries, and the segments of ``start``) is interned first as an int
-    numbered in canonical key order, so a sorted int tuple is a canonical
-    factor.  An anchor (label, twist) is interned as a rep id, for the
+    entries, and the segments of ``start``) gets its ``_numbering`` id
+    first.  An anchor (label, twist) is interned as a rep id, for the
     first tag seen with those entries, and a key id, for its (label, twist
     key).  Every step but the last accumulates into a dict keyed by (GL
     ids, GU ids, anchor key id) that holds [multiplicity, rep id].  The
@@ -192,18 +196,10 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     those of the object-level fold.  ``layer`` names the caller in the
     ``TermLimitError`` raised as soon as a step grows past the cap.
     """
-    pieces: dict = {}     # segment key -> segment
-    for tt in start.terms():
-        for f in tt.factors:
-            for p in f.segments:
-                pieces.setdefault(p.key, p)
-    for _, entries in steps:
-        for (_, second, third, dual, _), _ in entries:
-            for p in dual + second + third:
-                pieces.setdefault(p.key, p)
-    keys = sorted(pieces)
-    segs = [pieces[k] for k in keys]
-    ids = {k: i for i, k in enumerate(keys)}
+    segs, keys, ids = _numbering(chain(
+        (p for tt in start.terms() for f in tt.factors for p in f.segments),
+        (p for _, entries in steps
+         for (_, second, third, dual, _), _ in entries for p in dual + second + third)))
 
     def id_tuple(segments) -> tuple:
         return tuple(ids[p.key] for p in segments)
@@ -341,49 +337,44 @@ def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
 
 
 class _BlockCutter:
-    """Block cuts of GL monomials for one ``jacquet_by_shape`` call.
+    """Block cuts of GL monomials for one ``jacquet_by_shape`` call on ``g``.
 
-    Every segment gets an int id when first seen, so a GL monomial is a
-    sorted tuple of segment ids, and every block a cut produces gets an
-    int id too.  The memo and merge dicts hash plain int tuples; a public
-    ``GLMonomial`` is built once per block, at the end.
+    Every segment a cut can produce has its ``_numbering`` id up front, so
+    a GL monomial is a sorted tuple of ids, and every block a cut produces
+    gets an int id too.  The memo and merge dicts hash plain int tuples.
     """
 
-    def __init__(self, cap: int):
+    def __init__(self, g: GUClass, cap: int):
         self.cap = cap
-        self.ids: dict = {}       # segment key -> segment id
-        self.segments: list = []  # segment id -> segment
-        self.ranks: list = []     # segment id -> rank
-        self.tables: list = []    # segment id -> cut table, None until used
+        # The third pieces of a segment's M* terms are its sub-segments, and
+        # its last M* term's first piece is all of it, so it holds its dual.
+        bigs = [_cuts(s)[1] for s in g.segments]
+        bigs += [_cuts(big[-1][3][0])[1] for big in bigs]
+        self.segments, self.keys, self.ids = _numbering(
+            p for big in bigs for term in big for p in term[2])
+        self.ranks = [s.rank for s in self.segments]  # segment id -> rank
+        self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
         self.memo: dict = {}      # (id tuple, blocks) -> [(block ids, multiplicity)]
-
-    def intern(self, seg: Segment) -> int:
-        i = self.ids.get(seg.key)
-        if i is None:
-            i = self.ids[seg.key] = len(self.segments)
-            self.segments.append(seg)
-            self.ranks.append(seg.rank)
-            self.tables.append(None)
-        return i
 
     def block(self, ids: tuple) -> int:
         return self.block_ids.setdefault(ids, len(self.block_ids))
 
     def monomials(self) -> list:
         """Block id -> public ``GLMonomial``."""
-        at = self.segments.__getitem__
-        return [GLMonomial(map(at, ids)) for ids in self.block_ids]
+        seg_at, key_at = self.segments.__getitem__, self.keys.__getitem__
+        return [GLMonomial._trusted(tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
+                for ids in self.block_ids]
 
     def table(self, i: int) -> list:
         """[(rank, top, bottom)] of segment ``i`` for each m* cut, by
         rising top length, the pieces as tuples of at most one id."""
         table = self.tables[i]
         if table is None:
-            dim, intern = self.segments[i].rho.dim, self.intern
-            table = [(l * dim, tuple(map(intern, top)), tuple(map(intern, bottom)))
-                     for l, (top, bottom) in enumerate(_cuts(self.segments[i])[0])]
-            self.tables[i] = table
+            dim, ids = self.segments[i].rho.dim, self.ids
+            table = self.tables[i] = [
+                (l * dim, tuple(ids[p.key] for p in top), tuple(ids[p.key] for p in bottom))
+                for l, (top, bottom) in enumerate(_cuts(self.segments[i])[0])]
         return table
 
     def top_cuts(self, mono: tuple, rank: int) -> dict:
@@ -463,17 +454,17 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             f"shape {shape} needs GL rank {total}, but the class only has {g.gl_rank}"
         )
     cap = _max_terms()
-    cutter = _BlockCutter(cap)
+    cutter = _BlockCutter(g, cap)
     anchors: dict = {}    # anchor key -> anchor id
     out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
-    intern, rank_of = cutter.intern, cutter.ranks.__getitem__
+    id_of, rank_of = cutter.ids.__getitem__, cutter.ranks.__getitem__
     for term, c in mu_star(g, mode).items():
         gl, gu = term.factors
-        ids = tuple(map(intern, gl.segments))
+        ids = tuple(map(id_of, gl.key))
         if sum(map(rank_of, ids)) != total:
             continue
         anchor = anchors.setdefault(gu.key, len(anchors))
-        for parts, c2 in cutter.split(tuple(sorted(ids)), shape):
+        for parts, c2 in cutter.split(ids, shape):
             key = (parts, anchor)
             entry = out.get(key)
             if entry is None:

@@ -267,6 +267,36 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0]
 
+    @pytest.mark.parametrize("doc", [
+        [{"sigma": "sigma"}],
+        {"jord": [{"rho": "rho", "a": "2", "b": ["1", "2"]}]},
+        {"sigma": 3, "jord": []},
+        {"sigma": "sigma", "jord": {"rho": "rho"}},
+        {"sigma": "sigma", "jord": ["rho"]},
+        {"sigma": "sigma", "jord": [{"a": "2", "b": ["1", "2"]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "b": ["1", "2"]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": 2.0, "b": ["1", "2"]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": True, "b": ["1", "2"]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": "2"}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": "2", "b": "12"}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": "2", "b": ["1", 2.5]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": "2", "b": ["1", None]}]},
+        {"sigma": "sigma", "jord": [{"rho": "rho", "a": "x", "b": ["1", "2"]}]},
+        {"sigma": "sigma", "jord": [{"rho": "ghost", "a": "2", "b": ["1", "2"]}]},
+        {"sigma": "ghost", "jord": []},
+        "not json",
+    ])
+    def test_malformed_datum(self, doc, decls_file, tmp_path, capsys):
+        path = tmp_path / "datum.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = main(["check-lj", "--decls", decls_file, "--datum", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0]
+
     @pytest.mark.parametrize("cap, words", [
         ("50", ["mu_star", "51 terms", "JACQUET_MAX_TERMS (50 terms)"]),
         ("abc", ["JACQUET_MAX_TERMS", "'abc'"]),
