@@ -31,7 +31,6 @@ from .scalars import (
     LabelRegistry,
     TRIVIAL_TWIST,
     TwistTag,
-    halfint_ceil,
 )
 from .segments import Segment
 from .grothendieck import (
@@ -42,7 +41,6 @@ from .grothendieck import (
     gl_multiply,
     sum_to_obj,
     tensor_multiply,
-    term_to_obj,
 )
 from .structure import (
     GroupMode,

@@ -50,9 +50,9 @@ _FIELDS = {
     "conj_self_dual": (lambda v: type(v) is bool, "a bool"),
     "reducibility": (
         lambda v: isinstance(v, dict) and all(
-            type(x) in (str, int, float) for x in v.values()
+            type(x) in (str, int) for x in v.values()
         ),
-        "an object of name -> string or number",
+        "an object of name -> string or int",
     ),
     "twist_fixed": (
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
@@ -84,7 +84,10 @@ def _declared(path: str, data: dict, section: str) -> list:
 def load_declarations(path: str) -> LabelRegistry:
     """Read a declarations JSON file into a fresh registry."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise JacquetError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise JacquetError(f"{path}: the top level must be a JSON object")
     registry = LabelRegistry()
@@ -93,19 +96,19 @@ def load_declarations(path: str) -> LabelRegistry:
             registry.declare_gl(
                 entry["name"], entry.get("dim", 1), entry.get("conj_self_dual", True)
             )
-        except ValueError as exc:
+        except (JacquetError, ValueError) as exc:
             raise JacquetError(f"{where}: {exc}") from None
     for where, entry in _declared(path, data, "gu"):
         try:
             reducibility = {
-                registry.gl(name): HalfInt(str(value))
+                registry.gl(name): HalfInt(value)
                 for name, value in entry.get("reducibility", {}).items()
             }
             twist_fixed = {registry.gl(name) for name in entry.get("twist_fixed", ())}
             registry.declare_gu(
                 entry["name"], entry.get("rank", 0), reducibility, twist_fixed
             )
-        except ValueError as exc:
+        except (JacquetError, ValueError) as exc:
             raise JacquetError(f"{where}: {exc}") from None
     return registry
 
@@ -114,18 +117,20 @@ def make_resolvers(registry: LabelRegistry, permissive: bool):
     """Name -> label callables; permissive mode auto-declares defaults."""
 
     def resolve_gl(name: str):
-        try:
-            return registry.gl(name)
-        except UnknownLabelError:
-            if name.endswith(DUAL_MARKER):
-                base = name[: -len(DUAL_MARKER)]
-                try:
-                    return registry.gl(base).dual()
-                except UnknownLabelError:
-                    pass
-            if permissive:
-                return registry.declare_gl(name)
-            raise
+        # An undeclared ``~`` name is the dual of its base, resolved the
+        # same way; a loop, so a long run of markers cannot exhaust the stack.
+        duals = 0
+        while True:
+            try:
+                label = registry.gl(name)
+            except UnknownLabelError:
+                if name.endswith(DUAL_MARKER):
+                    name, duals = name[: -len(DUAL_MARKER)], duals + 1
+                    continue
+                if not permissive:
+                    raise
+                label = registry.declare_gl(name)
+            return label.dual() if duals % 2 else label
 
     def resolve_gu(name: str):
         try:

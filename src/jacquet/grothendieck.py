@@ -15,7 +15,7 @@ concurrently.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -32,7 +32,6 @@ __all__ = [
     "gl_multiply",
     "tensor_multiply",
     "sum_to_obj",
-    "term_to_obj",
     "factor_to_obj",
 ]
 
@@ -88,7 +87,7 @@ def _product_text(segments: tuple, segment_text) -> str:
     return " x ".join(map(segment_text, segments)) if segments else "1"
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GLMonomial(Keyed):
     """Commutative product of nonempty segment classes; () is the unit.
 
@@ -96,7 +95,7 @@ class GLMonomial(Keyed):
     """
 
     segments: tuple
-    key: tuple = field(repr=False)
+    key: tuple
 
     def __init__(self, segments: Iterable[Segment] = ()):
         segments = _canonical_segments(segments)
@@ -138,11 +137,8 @@ class GLMonomial(Keyed):
     def __str__(self):
         return self._text(str)
 
-    def __repr__(self):
-        return f"GLMonomial({self})"
 
-
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GUClass(Keyed):
     """Class of a product of segment classes induced over a cuspidal anchor.
 
@@ -154,7 +150,7 @@ class GUClass(Keyed):
     segments: tuple
     sigma: GUCuspidalLabel
     twist: TwistTag
-    key: tuple = field(repr=False)
+    key: tuple
 
     def __init__(self, segments: Iterable[Segment], sigma: GUCuspidalLabel,
                  twist: TwistTag = TRIVIAL_TWIST):
@@ -196,17 +192,14 @@ class GUClass(Keyed):
     def __str__(self):
         return self._text(str)
 
-    def __repr__(self):
-        return f"GUClass({self})"
 
-
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class TensorTerm(Keyed):
     """A monomial in a tensor power: a tuple of GL factors, the last
     optionally a GU class.  ``key`` is the tuple of the factors' keys."""
 
     factors: tuple
-    key: tuple = field(repr=False)
+    key: tuple
 
     def __init__(self, factors: Iterable):
         factors = tuple(factors)
@@ -240,9 +233,6 @@ class TensorTerm(Keyed):
 
     def __str__(self):
         return self._text(str)
-
-    def __repr__(self):
-        return f"TensorTerm({self})"
 
 
 Monomial = Union[GLMonomial, GUClass, TensorTerm]
@@ -491,10 +481,6 @@ def _term_obj(term: Monomial, segment_obj) -> list:
 
 def factor_to_obj(f) -> dict:
     return _factor_obj(f, _segment_to_obj)
-
-
-def term_to_obj(term: Monomial) -> list:
-    return _term_obj(term, _segment_to_obj)
 
 
 def sum_to_obj(s: FormalSum) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable, Mapping
 
 from .errors import LabelConflictError, UnknownLabelError
@@ -19,7 +20,6 @@ from .errors import LabelConflictError, UnknownLabelError
 __all__ = [
     "Keyed",
     "HalfInt",
-    "halfint_ceil",
     "CuspidalGLLabel",
     "GUCuspidalLabel",
     "TwistTag",
@@ -46,7 +46,11 @@ class Keyed:
     def __hash__(self):
         return hash(self.key)
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
+
+@total_ordering
 class HalfInt:
     """An exact half-integer, stored as twice its value.
 
@@ -126,24 +130,6 @@ class HalfInt:
             return NotImplemented
         return self.twice < o.twice
 
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice <= o.twice
-
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice > o.twice
-
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice >= o.twice
-
     def __hash__(self):
         return hash(self.twice)
 
@@ -183,11 +169,6 @@ def _parse_twice(text: str) -> int:
     else:
         raise ValueError(f"not a half-integer literal: {text!r}")
     return -t if neg else t
-
-
-def halfint_ceil(x: "HalfInt | int") -> int:
-    """Least integer >= x."""
-    return HalfInt(x).ceil() if not isinstance(x, HalfInt) else x.ceil()
 
 
 # Suffix used to derive the name of the conjugate-dual partner of a label

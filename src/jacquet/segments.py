@@ -17,12 +17,12 @@ from .scalars import CuspidalGLLabel, HalfInt, Keyed
 __all__ = ["Segment"]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Segment(Keyed):
     rho: CuspidalGLLabel
     a: HalfInt
     b: HalfInt
-    key: tuple = field(init=False, repr=False)
+    key: tuple = field(init=False)
 
     def __post_init__(self):
         a = self.a if isinstance(self.a, HalfInt) else HalfInt(self.a)
@@ -86,6 +86,3 @@ class Segment(Keyed):
         if self.is_empty:
             return "1"
         return f"d({self.a},{self.b}@{self.rho.name})"
-
-    def __repr__(self):
-        return f"Segment({self})"

@@ -33,7 +33,6 @@ from .scalars import (
     GUCuspidalLabel,
     HalfInt,
     TRIVIAL_TWIST,
-    halfint_ceil,
 )
 from .segments import Segment
 from .structure import GroupMode, jacquet_by_shape
@@ -78,7 +77,7 @@ class JordSequence:
         empty-segment encoding b_i = a - k + i - 1 (in particular for a
         label with k = 0).  Malformed sequences are never considered empty,
         so they still reach the validator."""
-        if self.k != halfint_ceil(self.a):
+        if self.k != self.a.ceil():
             return False
         return all(
             bj == self.a - self.k + i - 1
@@ -153,7 +152,7 @@ class LJValidation:
 
 def _grid(a: HalfInt, max_b: HalfInt) -> list:
     """The admissible exponent values a - ceil(a), a - ceil(a) + 1, ..., <= max_b."""
-    lo = a - halfint_ceil(a)
+    lo = a - a.ceil()
     out = []
     t = lo.twice
     while t <= max_b.twice:
@@ -172,7 +171,7 @@ def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
     max_b = HalfInt(max_b)
     if a < 0:
         raise InvalidDatumError(f"reducibility point must be >= 0, got {a}")
-    k = halfint_ceil(a)
+    k = a.ceil()
     if k == 0:
         return [JordSequence(rho, a, ())]
     out = []
@@ -212,10 +211,10 @@ def validate_lj(datum: LJDatum, strict: bool = False) -> LJValidation:
 
     msgs = []
     for j in datum.jord:
-        if j.k != halfint_ceil(j.a):
+        if j.k != j.a.ceil():
             msgs.append(
                 f"{j.rho.name!r}: sequence length {j.k} != ceil({j.a}) = "
-                f"{halfint_ceil(j.a)}"
+                f"{j.a.ceil()}"
             )
     checks.append(("ii", not msgs, "; ".join(msgs) or "sequence lengths match"))
 
@@ -273,7 +272,7 @@ def check_inducing_constraints(segments: Sequence[Segment], a: "HalfInt | int") 
     k = len(segments)
     if k == 0:
         return True
-    if k > halfint_ceil(a):
+    if k > a.ceil():
         return False
     for idx, seg in enumerate(segments, start=1):
         if seg.is_empty or not seg.is_strongly_positive():
@@ -297,16 +296,6 @@ class SPConditions:
     @property
     def sp_possible(self) -> bool:
         return self.conj_self_dual and self.twist_fixed
-
-    def to_obj(self) -> dict:
-        return {
-            "rho": self.rho.name,
-            "sigma": self.sigma.name,
-            "conj_self_dual": self.conj_self_dual,
-            "twist_fixed": self.twist_fixed,
-            "reducibility": None if self.reducibility is None else str(self.reducibility),
-            "sp_possible": self.sp_possible,
-        }
 
 
 def sp_necessary_conditions(rho: CuspidalGLLabel, sigma: GUCuspidalLabel) -> SPConditions:

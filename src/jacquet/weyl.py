@@ -153,7 +153,6 @@ def positive_roots(n: int) -> tuple:
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
 def simple_roots(n: int) -> tuple:
     """e_i - e_{i+1} for i < n, then 2e_n - e_0."""
     out = []
@@ -375,7 +374,7 @@ class LeviBlock:
         return f"{self.label}{marks}"
 
 
-def levi_action(w: SignedPermutation, blocks, anchor: str = "h",
+def levi_action(w: SignedPermutation, blocks,
                 mode: "GroupMode | str" = GroupMode.GU):
     """Conjugate a block tuple by ``w``.
 
@@ -385,7 +384,7 @@ def levi_action(w: SignedPermutation, blocks, anchor: str = "h",
     descending (the transpose reversal) for sign -, which toggles the dual
     mark and, in GU mode, the twist mark (U mode never marks a twist).
     ``mode`` is a ``GroupMode`` or its value ``"GU"``/``"U"``.
-    Returns the blocks in target order plus the anchor.
+    Returns the blocks in target order.
     """
     try:
         gu_twist = GroupMode(mode) is GroupMode.GU
@@ -418,4 +417,4 @@ def levi_action(w: SignedPermutation, blocks, anchor: str = "h",
         start = min(vals)
         placed.append((start, block.flipped(gu_twist) if negative else block))
     placed.sort(key=lambda t: t[0])
-    return tuple(b for _, b in placed), anchor
+    return tuple(b for _, b in placed)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jacquet
-from jacquet import ExpressionError, LabelRegistry
+from jacquet import ExpressionError, LabelRegistry, UnknownLabelError
 from jacquet.cli import main, make_resolvers
 from jacquet.expressions import format_expression, parse_expression, parse_tensor_target
 from helpers import h
@@ -100,6 +100,13 @@ class TestParser:
         expr = parse_expression("d(0,0@chi~)", gl, gu)
         assert expr.gl_part[0].rho.name == "chi~"
 
+    def test_long_dual_marker_run(self, resolvers):
+        gl, gu = resolvers
+        assert gl("rho" + "~" * 2000).name == "rho"
+        assert gl("chi" + "~" * 2001).name == "chi~"
+        with pytest.raises(UnknownLabelError):
+            gl("ghost" + "~" * 2000)
+
     def test_tensor_target(self, resolvers):
         gl, gu = resolvers
         parts, anchor = parse_tensor_target(
@@ -140,6 +147,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "w_rho sigma" in out
         assert "(3 terms)" in out
+
+    def test_dual_name_resolves_in_any_order(self, capsys):
+        terms = []
+        for expr in ("d(0,0@rho~) x d(1,1@rho) |x| sigma",
+                     "d(1,1@rho) x d(0,0@rho~) |x| sigma"):
+            assert main(["mustar", expr]) == 0
+            terms.append(capsys.readouterr().out.splitlines()[1:])
+        assert terms[0] == terms[1]
 
     def test_mustar_json_single_document(self, capsys):
         assert main(["mustar", "d(1,1@rho) |x| sigma", "--format", "json"]) == 0
@@ -256,10 +271,15 @@ class TestCommands:
         {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"rho": "x"}}]},
         {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "twist_fixed": "rho"}]},
         {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "twist_fixed": [1]}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"ghost": "1"}}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "twist_fixed": ["ghost"]}]},
+        {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"rho": 2.0}}]},
+        {"gl": [{"name": "rho"}, {"name": "rho", "dim": 2}]},
+        "not json",
     ])
     def test_malformed_declarations(self, doc, tmp_path, capsys):
         path = tmp_path / "decls.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(["enum-sp", "--decls", str(path), "--sigma", "sigma",
                      "--rhos", "rho"])
         assert code == 1

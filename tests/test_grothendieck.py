@@ -38,6 +38,19 @@ def test_monomial_canonicalization():
     assert GLMonomial(m.segments) == m  # re-canonicalization is the identity
 
 
+def test_reprs():
+    tw = TwistTag.omega(RHO, h(4))
+    m = GLMonomial([S3, S1])
+    g = GUClass([S1], SIGMA, tw)
+    assert repr(S1) == "Segment(d(1,1@rho))"
+    assert repr(m) == "GLMonomial(d(1,1@rho) x d(0,1@tau))"
+    assert repr(g) == "GUClass(d(1,1@rho) |x| w_rho sigma)"
+    assert repr(TensorTerm([m, g])) == (
+        "TensorTerm(d(1,1@rho) x d(0,1@tau) (x) d(1,1@rho) |x| w_rho sigma)"
+    )
+    assert repr(tw) == "TwistTag((('rho', 1, HalfInt('2')),))"
+
+
 def test_monomial_unit_and_rank():
     assert GLMonomial().is_unit
     assert GLMonomial().rank == 0

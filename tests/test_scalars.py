@@ -14,7 +14,6 @@ from jacquet import (
     TRIVIAL_TWIST,
     TwistTag,
     UnknownLabelError,
-    halfint_ceil,
 )
 from helpers import h
 
@@ -41,6 +40,10 @@ class TestHalfInt:
         assert HalfInt(2) == 2
         assert HalfInt("1/2") < 1
         assert HalfInt("5/2") >= 2
+        assert 2 > HalfInt("1/2")
+        assert 1 >= HalfInt(1)
+        with pytest.raises(TypeError):
+            HalfInt(1) <= "x"
 
     def test_is_integer(self):
         assert HalfInt(4).is_integer()
@@ -53,11 +56,11 @@ class TestHalfInt:
         assert str(HalfInt(0)) == "0"
 
     def test_ceil_examples(self):
-        assert halfint_ceil(HalfInt("5/2")) == 3
-        assert halfint_ceil(HalfInt(2)) == 2
-        assert halfint_ceil(HalfInt(0)) == 0
-        assert halfint_ceil(HalfInt("-1/2")) == 0
-        assert halfint_ceil(HalfInt("-3/2")) == -1
+        assert HalfInt("5/2").ceil() == 3
+        assert HalfInt(2).ceil() == 2
+        assert HalfInt(0).ceil() == 0
+        assert HalfInt("-1/2").ceil() == 0
+        assert HalfInt("-3/2").ceil() == -1
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_agrees_with_rationals(self, p, q):
@@ -68,6 +71,8 @@ class TestHalfInt:
         assert Fraction((-x).twice, 2) == -fx
         assert (x < y) == (fx < fy)
         assert (x <= y) == (fx <= fy)
+        assert (x > y) == (fx > fy)
+        assert (x >= y) == (fx >= fy)
         assert (x == y) == (fx == fy)
         assert x.ceil() == -((-fx) // 1)
         assert x.is_integer() == (fx.denominator == 1)

@@ -180,15 +180,15 @@ class TestLeviAction:
     def test_identity(self):
         w = SignedPermutation.identity(3)
         blocks = (LeviBlock("g1", 1), LeviBlock("g2", 2))
-        out, anchor = levi_action(w, blocks)
-        assert out == blocks and anchor == "h"
+        out = levi_action(w, blocks)
+        assert out == blocks
 
     def test_five_block_display(self):
         # n = 4, i1 = 3, i2 = 3, d = 1, k = 1: all four GL blocks have size 1
         params = GeomParams(4, 3, 3, 1, 1)
         w = q_rep(params)
         blocks = tuple(LeviBlock(f"g{i}", 1) for i in range(1, 5))
-        out, _ = levi_action(w, blocks, mode="GU")
+        out = levi_action(w, blocks, mode="GU")
         assert [b.label for b in out] == ["g1", "g4", "g3", "g2"]
         g3 = out[2]
         assert g3.dual and g3.twisted
@@ -196,9 +196,9 @@ class TestLeviAction:
 
     def test_u_mode_no_twist_mark(self):
         params = GeomParams(4, 3, 3, 1, 1)
-        out, _ = levi_action(q_rep(params),
-                             [LeviBlock(f"g{i}", 1) for i in range(1, 5)],
-                             mode="U")
+        out = levi_action(q_rep(params),
+                          [LeviBlock(f"g{i}", 1) for i in range(1, 5)],
+                          mode="U")
         g3 = next(b for b in out if b.label == "g3")
         assert g3.dual and not g3.twisted
 
@@ -211,8 +211,8 @@ class TestLeviAction:
         params = GeomParams(4, 3, 3, 1, 1)
         w = q_rep(params)
         blocks = tuple(LeviBlock(f"g{i}", 1) for i in range(1, 5))
-        once, _ = levi_action(w, blocks)
-        back, _ = levi_action(w.inverse(), once)
+        once = levi_action(w, blocks)
+        back = levi_action(w.inverse(), once)
         assert back == blocks
 
     def test_wide_blocks(self):
@@ -220,7 +220,7 @@ class TestLeviAction:
         params = GeomParams(4, 3, 3, 2, 1)
         w = q_rep(params)
         blocks = (LeviBlock("g1", 1), LeviBlock("g3", 2))
-        out, _ = levi_action(w, blocks)
+        out = levi_action(w, blocks)
         wide = next(b for b in out if b.label == "g3")
         assert wide.dual
 
