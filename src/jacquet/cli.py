@@ -150,6 +150,17 @@ def _registry_for(args) -> tuple:
     return make_resolvers(LabelRegistry(), permissive=True)
 
 
+def _anchored(args) -> tuple:
+    """(expression, GL resolver, GU resolver) for ``args.expr``, which the
+    command needs to be anchored."""
+    gl, gu = _registry_for(args)
+    expr = parse_expression(args.expr, gl, gu)
+    if expr.gu_anchor is None:
+        raise JacquetError(
+            f"{args.command} needs an anchored expression 'glpart |x| sigma'")
+    return expr, gl, gu
+
+
 def _mode(args) -> GroupMode:
     return GroupMode[getattr(args, "group", "GU")]
 
@@ -198,10 +209,7 @@ def _sum_report(args, command: str, expr: Expression, result: FormalSum,
 
 
 def _cmd_mustar(args) -> int:
-    gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu)
-    if expr.gu_anchor is None:
-        raise JacquetError("mustar needs an anchored expression 'glpart |x| sigma'")
+    expr, _, _ = _anchored(args)
     result = mu_star(expr.gu_class(), _mode(args))
     _sum_report(args, "mustar", expr, result)
     return 0
@@ -216,10 +224,7 @@ def _cmd_mstar(args) -> int:
 
 
 def _cmd_jacquet(args) -> int:
-    gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu)
-    if expr.gu_anchor is None:
-        raise JacquetError("jacquet needs an anchored expression 'glpart |x| sigma'")
+    expr, _, _ = _anchored(args)
     shape = _parse_shape(args.shape)
     result = jacquet_by_shape(expr.gu_class(), shape, _mode(args))
     _sum_report(args, "jacquet", expr, result, shape)
@@ -227,10 +232,7 @@ def _cmd_jacquet(args) -> int:
 
 
 def _cmd_mult(args) -> int:
-    gl, gu = _registry_for(args)
-    expr = parse_expression(args.expr, gl, gu)
-    if expr.gu_anchor is None:
-        raise JacquetError("mult needs an anchored expression 'glpart |x| sigma'")
+    expr, gl, gu = _anchored(args)
     shape = _parse_shape(args.shape)
     parts, anchor = parse_tensor_target(args.term, gl, gu)
     if anchor is None:

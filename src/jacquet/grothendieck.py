@@ -43,11 +43,12 @@ def _max_terms() -> int:
     if not raw:
         return _DEFAULT_MAX_TERMS
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise JacquetError(
-            f"JACQUET_MAX_TERMS must be an integer, got {raw!r}"
-        ) from None
+        cap = 0
+    if cap < 1:
+        raise JacquetError(f"JACQUET_MAX_TERMS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _over_cap(what: str, size: int, cap: int) -> TermLimitError:
@@ -62,20 +63,6 @@ def _canonical_segments(segments: Iterable[Segment]) -> tuple:
     return tuple(sorted((s for s in segments if not s.is_empty), key=_by_key))
 
 
-def _once_per_segment(fmt):
-    """``fmt`` memoised on ``segment.key``, for the terms of one sum: a
-    sum has many terms but few distinct segments."""
-    memo: dict = {}
-
-    def once(s: Segment):
-        out = memo.get(s.key)
-        if out is None:
-            out = memo[s.key] = fmt(s)
-        return out
-
-    return once
-
-
 def _absorb_fixed(sigma: GUCuspidalLabel, twist: TwistTag) -> TwistTag:
     """``twist`` with the entries of the labels ``sigma`` declares
     twist-fixed erased."""
@@ -83,8 +70,8 @@ def _absorb_fixed(sigma: GUCuspidalLabel, twist: TwistTag) -> TwistTag:
     return twist.without(fixed) if fixed else twist
 
 
-def _product_text(segments: tuple, segment_text) -> str:
-    return " x ".join(map(segment_text, segments)) if segments else "1"
+def _product_text(segments: tuple) -> str:
+    return " x ".join([s.text for s in segments]) if segments else "1"
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -131,11 +118,8 @@ class GLMonomial(Keyed):
             return NotImplemented
         return GLMonomial(self.segments + other.segments)
 
-    def _text(self, segment_text) -> str:
-        return _product_text(self.segments, segment_text)
-
     def __str__(self):
-        return self._text(str)
+        return _product_text(self.segments)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -183,14 +167,10 @@ class GUClass(Keyed):
     def gl_rank(self) -> int:
         return sum(s.rank for s in self.segments)
 
-    def _text(self, segment_text) -> str:
-        head = _product_text(self.segments, segment_text)
+    def __str__(self):
         tw = str(self.twist)
         anchor = f"{tw} {self.sigma.name}" if tw else self.sigma.name
-        return f"{head} |x| {anchor}"
-
-    def __str__(self):
-        return self._text(str)
+        return f"{_product_text(self.segments)} |x| {anchor}"
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -228,11 +208,8 @@ class TensorTerm(Keyed):
     def has_gu(self) -> bool:
         return bool(self.factors) and isinstance(self.factors[-1], GUClass)
 
-    def _text(self, segment_text) -> str:
-        return " (x) ".join(f._text(segment_text) for f in self.factors)
-
     def __str__(self):
-        return self._text(str)
+        return " (x) ".join([str(f) for f in self.factors])
 
 
 Monomial = Union[GLMonomial, GUClass, TensorTerm]
@@ -382,10 +359,9 @@ class FormalSum:
     def __str__(self):
         if self.is_zero:
             return "0"
-        segment_text = _once_per_segment(str)
         chunks = []
         for term, mult in self.sorted_items():
-            body = term._text(segment_text)
+            body = str(term)
             if mult == 1:
                 chunk = body
             elif mult == -1:
@@ -485,9 +461,12 @@ def factor_to_obj(f) -> dict:
 
 def sum_to_obj(s: FormalSum) -> list:
     """Deterministic list-of-terms form: [{"mult": m, "term": [factors]}]."""
-    fields = _once_per_segment(_segment_to_obj)
+    fields: dict = {}  # segment key -> fields: a sum has few distinct segments
 
     def segment_obj(seg: Segment) -> dict:
-        return dict(fields(seg))  # every term gets dicts of its own
+        obj = fields.get(seg.key)
+        if obj is None:
+            obj = fields[seg.key] = _segment_to_obj(seg)
+        return dict(obj)  # every term gets dicts of its own
 
     return [{"mult": m, "term": _term_obj(t, segment_obj)} for t, m in s.sorted_items()]

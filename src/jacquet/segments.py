@@ -23,6 +23,7 @@ class Segment(Keyed):
     a: HalfInt
     b: HalfInt
     key: tuple = field(init=False)
+    text: str = field(init=False)
 
     def __post_init__(self):
         a = self.a if isinstance(self.a, HalfInt) else HalfInt(self.a)
@@ -37,6 +38,9 @@ class Segment(Keyed):
         if diff < -2:
             raise SegmentError(f"segment bounds {a} > {b} + 1")
         object.__setattr__(self, "key", (self.rho.name, a.twice, b.twice))
+        object.__setattr__(
+            self, "text", "1" if diff == -2 else f"d({a},{b}@{self.rho.name})"
+        )
 
     @classmethod
     def empty(cls, rho: CuspidalGLLabel, a: "HalfInt | int" = 0) -> "Segment":
@@ -83,6 +87,4 @@ class Segment(Keyed):
         return HalfInt.from_twice(self.length * (self.a.twice + self.b.twice) // 2)
 
     def __str__(self):
-        if self.is_empty:
-            return "1"
-        return f"d({self.a},{self.b}@{self.rho.name})"
+        return self.text

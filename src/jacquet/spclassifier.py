@@ -366,6 +366,7 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     reducibility 0 contribute nothing.  Output order is the lexicographic
     product order and is deterministic.
     """
+    mode = GroupMode(mode)
     bounds = _per_label_bounds(labels, max_b)
     per_label = []
     for rho, bound in zip(labels, bounds):

@@ -21,9 +21,10 @@ This module computes, entirely at the level of formal classes:
   pieces whose ranks add up to the block's rank.
 
 Every cut of a segment comes from ``_cuts``, the one process-wide memo
-here: a table of the segment's m* cuts and M* terms, the latter with the
-dual and twist of their first piece, built once per segment and label.
-``mstar_gl``, ``mstar_big``, the fold and the block split all read it.
+here: a table of the segment's m* cuts, its M* terms (with the dual and
+twist of their first piece) and its sub-segments with their duals, built
+once per segment and label.  ``mstar_gl``, ``mstar_big``, the fold and
+the block split all read it.
 All functions are pure; the table only saves work.
 
 Both hot loops run on segment ids within one call, numbered by
@@ -48,7 +49,7 @@ import enum
 from itertools import chain
 from typing import Sequence
 
-from .errors import KindMismatchError, SegmentError, ShapeError
+from .errors import JacquetError, KindMismatchError, SegmentError, ShapeError
 from .grothendieck import (
     FormalSum,
     GLMonomial,
@@ -78,10 +79,15 @@ class GroupMode(enum.Enum):
 
     GU: the dualized factor twists the anchor by its central character.
     U:  no twist is ever produced.
+    ``GroupMode(mode)`` raises ``JacquetError`` for a value not listed here.
     """
 
     GU = "GU"
     U = "U"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise JacquetError(f"unknown group mode {value!r}")
 
 
 def _omega_of(segments: tuple) -> TwistTag:
@@ -99,14 +105,17 @@ _CUTS: dict = {}
 
 
 def _cuts(seg: Segment) -> tuple:
-    """(m* cuts, M* terms) of a nonempty segment d([a,b]), built once.
+    """(m* cuts, M* terms, sub-segments) of a nonempty segment d([a,b]),
+    built once.
 
     The m* cuts are (top, bottom) = (d([b-l+1,b]), d([a,b-l])) for top
     length l = 0 .. length, rising.  The M* terms are (first, second,
     third, dual of first, twist of first) = (d([a,i]), d([j+1,b]),
     d([i+1,j]), d([a,i])^dual, omega) for a-1 <= i <= j <= b, i outer; the
     twist is None when the first piece is empty.  Every piece is a tuple
-    of at most one segment (an empty piece has none).
+    of at most one segment (an empty piece has none).  The sub-segments
+    are the nonempty pieces d([i,j]) and their duals: every segment a cut
+    of the segment or of its dual can hold.
 
     Labels compare by name only, so the memo key also holds the label's
     ``attributes``: a same-named label from another registry gets its own
@@ -132,7 +141,9 @@ def _cuts(seg: Segment) -> tuple:
             dual = tuple(s.dual() for s in first)
             omega = _omega_of(first) if first else None
             big += [(first, piece[q, n], piece[p, q], dual, omega) for q in range(p, n + 1)]
-        found = _CUTS[key] = (gl, big)
+        subs = [s for pieces in piece.values() for s in pieces]
+        subs += [s.dual() for s in subs]
+        found = _CUTS[key] = (gl, big, subs)
     return found
 
 
@@ -299,6 +310,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
 
 def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
     """Pair a three-factor GL sum with a (GL, GU) sum, bilinearly."""
+    mode = GroupMode(mode)
     if m.is_zero or t.is_zero:
         return FormalSum.zero()
     if m.kind != ("tensor", 3, False) or t.kind != ("tensor", 2, True):
@@ -321,8 +333,12 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     """Fold the structure formula over an explicitly ordered segment list.
 
     The result does not depend on the order; exposing the order makes that
-    a testable fact rather than an artifact of canonical sorting.
+    a testable fact rather than an artifact of canonical sorting.  Where
+    terms whose twists differ only in ``nu`` merge, the term shows the
+    ``nu`` of the first one folded, so an equal sum can print other ``nu``
+    values in another order; ``mu_star`` folds in canonical order.
     """
+    mode = GroupMode(mode)
     start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     if not segments:
         return start
@@ -346,12 +362,8 @@ class _BlockCutter:
 
     def __init__(self, g: GUClass, cap: int):
         self.cap = cap
-        # The third pieces of a segment's M* terms are its sub-segments, and
-        # its last M* term's first piece is all of it, so it holds its dual.
-        bigs = [_cuts(s)[1] for s in g.segments]
-        bigs += [_cuts(big[-1][3][0])[1] for big in bigs]
         self.segments, self.keys, self.ids = _numbering(
-            p for big in bigs for term in big for p in term[2])
+            p for s in g.segments for p in _cuts(s)[2])
         self.ranks = [s.rank for s in self.segments]  # segment id -> rank
         self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
@@ -440,14 +452,15 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     iterable of GL block ranks in order.
 
     Terms have one GL factor per block (exact rank match) followed by the
-    anchor factor.  Raises ``ShapeError`` for a block that is not
-    positive or a total above the GL rank of ``g``, and
+    anchor factor.  Raises ``ShapeError`` for a block that is not a
+    positive int or a total above the GL rank of ``g``, and
     ``TermLimitError`` as soon as the partial module exceeds
     JACQUET_MAX_TERMS.
     """
-    shape = tuple(int(b) for b in shape)
-    if any(b <= 0 for b in shape):
-        raise ShapeError(f"shape blocks must be positive, got {shape}")
+    mode = GroupMode(mode)
+    shape = tuple(shape)
+    if any(type(b) is not int or b <= 0 for b in shape):
+        raise ShapeError(f"shape blocks must be positive ints, got {shape}")
     total = sum(shape)
     if total > g.gl_rank:
         raise ShapeError(

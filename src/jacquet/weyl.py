@@ -26,6 +26,7 @@ from functools import lru_cache
 from .errors import (
     BruteForceBoundError,
     InvalidParamsError,
+    JacquetError,
     LeviActionError,
     NonBijectionError,
 )
@@ -388,8 +389,8 @@ def levi_action(w: SignedPermutation, blocks,
     """
     try:
         gu_twist = GroupMode(mode) is GroupMode.GU
-    except ValueError:
-        raise LeviActionError(f"unknown group mode {mode!r}") from None
+    except JacquetError as exc:
+        raise LeviActionError(str(exc)) from None
     blocks = tuple(blocks)
     if any(b.size < 1 for b in blocks):
         raise LeviActionError("GL blocks must have positive size")

@@ -320,6 +320,8 @@ class TestCommands:
     @pytest.mark.parametrize("cap, words", [
         ("50", ["mu_star", "51 terms", "JACQUET_MAX_TERMS (50 terms)"]),
         ("abc", ["JACQUET_MAX_TERMS", "'abc'"]),
+        ("0", ["JACQUET_MAX_TERMS", "positive", "'0'"]),
+        ("-1", ["JACQUET_MAX_TERMS", "positive", "'-1'"]),
     ])
     def test_term_cap_exit(self, cap, words):
         src = str(Path(jacquet.__file__).resolve().parent.parent)

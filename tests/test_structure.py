@@ -25,6 +25,7 @@ from jacquet import (
     TermLimitError,
     TwistTag,
     TRIVIAL_TWIST,
+    enumerate_sp,
     jacquet_by_shape,
     mstar_big,
     mstar_gl,
@@ -156,6 +157,25 @@ class TestMuStar:
         assert len(terms) == 3
         assert terms[TensorTerm((mono(seg(RHO, -1, -1)), GUClass([], SIGMA)))] == 1
 
+    def test_mode_by_value(self):
+        g = GUClass([seg(RHO, 1, 1), seg(CHI, 0, 1)], SIGMA)
+        m = mstar_big(seg(RHO, 1, 1))
+        t = FormalSum.of(TensorTerm((GLMonomial(), GUClass([], SIGMA))))
+        runs = [
+            lambda mode: mu_star(g, mode),
+            lambda mode: mu_star_of_segments([], SIGMA, mode=mode),
+            lambda mode: twisted_rtimes(m, t, mode),
+            lambda mode: jacquet_by_shape(g, (1,), mode),
+            lambda mode: enumerate_sp([], SIGMA, 3, mode),
+        ]
+        assert mu_star(g, "GU") != mu_star(g, "U")
+        for run in runs:
+            for member in GroupMode:
+                assert run(member.value) == run(member)
+            for bad in ("gu", None):
+                with pytest.raises(JacquetError, match=repr(bad)):
+                    run(bad)
+
     def test_dual_label_in_output(self):
         s = seg(CHI, 0, 0)
         g = GUClass([s], SIGMA)
@@ -241,6 +261,14 @@ class TestMuStar:
             rng.shuffle(shuffled)
             assert mu_star_of_segments(segments, sigma) == \
                 mu_star_of_segments(shuffled, sigma)
+        # Merged terms here carry twists whose nu differs by order, which
+        # the text and JSON show but equality ignores.
+        chi, chid = labels[2], labels[2].dual()
+        segments = [seg(chid, -1, 1), seg(chi, -1, 1), seg(chid, 0, 1), seg(chi, -1, 0)]
+        canonical = mu_star_of_segments(segments, sigma)
+        assert len(canonical) == 3082
+        for order in itertools.permutations(segments):
+            assert mu_star_of_segments(order, sigma) == canonical
 
     def test_u_mode_purity_and_tag_erasure(self):
         labels, sigma = make_mixed_labels()
@@ -485,6 +513,10 @@ class TestJacquetByShape:
     def test_shape_overflow(self):
         g = GUClass([seg(RHO, 1, 1)], SIGMA)
         for shape in ((2,), (1, 0), (-1, 3)):
+            with pytest.raises(ShapeError):
+                jacquet_by_shape(g, shape)
+        g = GUClass([seg(RHO, 1, 3)], SIGMA)
+        for shape in ((1.5,), (2.9, 1), "12", "1,2", (True,)):
             with pytest.raises(ShapeError):
                 jacquet_by_shape(g, shape)
 
