@@ -262,16 +262,14 @@ def _cmd_mult(args) -> int:
 
 def _cmd_weyl(args) -> int:
     params_list = enumerate_geom_params(args.n, args.i1, args.i2)
-    entries = []
-    for params in params_list:
-        w = q_rep(params)
-        entries.append({
-            "d": params.d,
-            "k": params.k,
-            "cycles": w.cycles(),
-            "signs": list(w.signs),
-            "window": list(w.window),
-        })
+    reps = [q_rep(params) for params in params_list]
+    entries = [{
+        "d": params.d,
+        "k": params.k,
+        "cycles": w.cycles(),
+        "signs": list(w.signs),
+        "window": list(w.window),
+    } for params, w in zip(params_list, reps)]
     obj = {
         "command": "weyl",
         "n": args.n,
@@ -288,7 +286,7 @@ def _cmd_weyl(args) -> int:
         )
     if args.oracle:
         oracle = brute_force_coset_reps(args.n, args.i1, args.i2)
-        closed = {q_rep(p) for p in params_list}
+        closed = set(reps)
         match = oracle == closed
         obj["oracle"] = {
             "match": match,

@@ -75,9 +75,9 @@ def _tokenize(text: str):
             i += len(matched)
             col += len(matched)
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[i:j], line, col))
             col += j - i

@@ -428,7 +428,7 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
 
 
 # ---------------------------------------------------------------------------
-# JSON-friendly serialization (emit side; parsing lives with the CLI).
+# JSON-friendly serialization (emit side; spclassifier.lj_from_obj parses datums).
 
 def _segment_to_obj(s: Segment) -> dict:
     return {"rho": s.rho.name, "a": str(s.a), "b": str(s.b)}

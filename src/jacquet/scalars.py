@@ -161,10 +161,10 @@ def _parse_twice(text: str) -> int:
         s = s[1:].strip()
     if "/" in s:
         num, _, den = s.partition("/")
-        if den.strip() != "2" or not num.strip().isdigit():
+        if den.strip() != "2" or not num.strip().isdecimal():
             raise ValueError(f"not a half-integer literal: {text!r}")
         t = int(num)
-    elif s.isdigit():
+    elif s.isdecimal():
         t = 2 * int(s)
     else:
         raise ValueError(f"not a half-integer literal: {text!r}")

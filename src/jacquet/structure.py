@@ -452,13 +452,16 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     iterable of GL block ranks in order.
 
     Terms have one GL factor per block (exact rank match) followed by the
-    anchor factor.  Raises ``ShapeError`` for a block that is not a
-    positive int or a total above the GL rank of ``g``, and
-    ``TermLimitError`` as soon as the partial module exceeds
-    JACQUET_MAX_TERMS.
+    anchor factor.  Raises ``ShapeError`` for a shape that is not
+    iterable, a block that is not a positive int or a total above the GL
+    rank of ``g``, and ``TermLimitError`` as soon as the partial module
+    exceeds JACQUET_MAX_TERMS.
     """
     mode = GroupMode(mode)
-    shape = tuple(shape)
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise ShapeError(f"shape must be iterable, got {shape!r}") from None
     if any(type(b) is not int or b <= 0 for b in shape):
         raise ShapeError(f"shape blocks must be positive ints, got {shape}")
     total = sum(shape)

@@ -1,9 +1,9 @@
 """Signed-permutation Weyl combinatorics for the rank-n similitude groups.
 
 The relevant Weyl group is the hyperoctahedral group S_n x {+-1}^n.  An
-element is stored as a permutation of {1..n} plus a sign vector indexed by
-source position; its window form is w(j) = signs[j] * perm[j], extended to
-negative letters by w(-j) = -w(j).
+element is stored as its window (w(1), ..., w(n)), a signed bijection of
+{1..n} extended to negative letters by w(-j) = -w(j); its permutation and
+sign vector, indexed by source position, are read off the window.
 
 Lengths are computed on the restricted root system: positive roots are
 e_i - e_j and e_i + e_j - e_0 for i < j, and 2e_i - e_0, where e_0 is the
@@ -14,7 +14,10 @@ behave exactly as in type C_n.
 ``p_rep`` / ``q_rep`` build the closed-form minimal double-coset
 representatives from their defining piecewise branches, and
 ``brute_force_coset_reps`` is the independent exhaustive oracle they are
-checked against.
+checked against.  The oracle takes every element's length once and walks
+each double coset W_I g W_J once, from its first element g in (length,
+window) order, as the closure of g under left multiplication by the simple
+reflections of I and right multiplication by those of J.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ __all__ = [
 
 
 class SignedPermutation:
-    """An element of S_n x {+-1}^n."""
+    """An element of S_n x {+-1}^n, stored as its window."""
 
-    __slots__ = ("perm", "signs", "window")
+    __slots__ = ("window",)
 
     def __init__(self, perm, signs=None):
         perm = tuple(int(p) for p in perm)
@@ -64,9 +67,14 @@ class SignedPermutation:
         signs = tuple(int(s) for s in signs)
         if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise InvalidParamsError(f"invalid sign vector {signs}")
-        self.perm = perm
-        self.signs = signs
         self.window = tuple(s * p for s, p in zip(signs, perm))
+
+    @classmethod
+    def _trusted(cls, window: tuple) -> "SignedPermutation":
+        """Wrap a window known to be a signed bijection, unchecked."""
+        w = object.__new__(cls)
+        w.window = window
+        return w
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
@@ -78,35 +86,41 @@ class SignedPermutation:
         return cls([abs(v) for v in window], [1 if v > 0 else -1 for v in window])
 
     @property
+    def perm(self) -> tuple:
+        return tuple(abs(v) for v in self.window)
+
+    @property
+    def signs(self) -> tuple:
+        return tuple(1 if v > 0 else -1 for v in self.window)
+
+    @property
     def n(self) -> int:
         return len(self.window)
 
     def __call__(self, j: int) -> int:
         """Image of a signed letter; w(-j) = -w(j)."""
-        if j > 0:
-            return self.window[j - 1]
-        return -self.window[-j - 1]
+        return self.window[j - 1] if j > 0 else -self.window[-j - 1]
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         """Composition: (self * other)(j) = self(other(j))."""
         if not isinstance(other, SignedPermutation):
             return NotImplemented
-        return SignedPermutation.from_window(self(v) for v in other.window)
+        if other.n != self.n:
+            raise InvalidParamsError(f"cannot compose ranks {self.n} and {other.n}")
+        return SignedPermutation._trusted(tuple(map(self, other.window)))
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.n
         for j, v in enumerate(self.window, start=1):
-            if v > 0:
-                out[v - 1] = j
-            else:
-                out[-v - 1] = -j
-        return SignedPermutation.from_window(out)
+            out[abs(v) - 1] = j if v > 0 else -j
+        return SignedPermutation._trusted(tuple(out))
 
     def is_identity(self) -> bool:
         return self.window == tuple(range(1, self.n + 1))
 
     def cycles(self) -> str:
         """Cycle form of the underlying unsigned permutation; 'id' if trivial."""
+        perm = self.perm
         seen = [False] * self.n
         parts = []
         for start in range(1, self.n + 1):
@@ -114,11 +128,11 @@ class SignedPermutation:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            j = self.perm[start - 1]
+            j = perm[start - 1]
             while j != start:
                 cyc.append(j)
                 seen[j - 1] = True
-                j = self.perm[j - 1]
+                j = perm[j - 1]
             if len(cyc) > 1:
                 parts.append("(" + " ".join(map(str, cyc)) + ")")
         return "".join(parts) if parts else "id"
@@ -204,13 +218,12 @@ def simple_reflection(n: int, i: int) -> SignedPermutation:
     """s_i swaps slots i, i+1 for i < n; s_n flips the sign at slot n."""
     if not 1 <= i <= n:
         raise InvalidParamsError(f"no simple reflection {i} in rank {n}")
+    window = list(range(1, n + 1))
     if i < n:
-        perm = list(range(1, n + 1))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return SignedPermutation(perm)
-    signs = [1] * n
-    signs[-1] = -1
-    return SignedPermutation(range(1, n + 1), signs)
+        window[i - 1], window[i] = i + 1, i
+    else:
+        window[-1] = -n
+    return SignedPermutation.from_window(window)
 
 
 def all_elements(n: int):
@@ -231,13 +244,9 @@ class GeomParams:
     k: int
 
     def __post_init__(self):
-        n, i1, i2, d, k = self.n, self.i1, self.i2, self.d, self.k
-        if not (1 <= i1 <= n and 1 <= i2 <= n):
-            raise InvalidParamsError(f"need 1 <= i1, i2 <= n, got {self}")
-        if not 0 <= d <= min(i1, i2):
-            raise InvalidParamsError(f"d out of range in {self}")
-        if not max(0, (i1 + i2 - n) - d) <= k <= min(i1, i2) - d:
-            raise InvalidParamsError(f"k out of range in {self}")
+        _check_indices(self.n, self.i1, self.i2)
+        if self.k not in _k_range(self.n, self.i1, self.i2, self.d):
+            raise InvalidParamsError(f"(d, k) out of range in {self}")
 
     @property
     def block_sizes(self) -> tuple:
@@ -281,34 +290,21 @@ def q_rep(params: GeomParams) -> SignedPermutation:
     return SignedPermutation(p.perm, signs)
 
 
-def enumerate_geom_params(n: int, i1: int, i2: int) -> list:
-    """All admissible (d, k) in lexicographic order; never empty."""
+def _check_indices(n: int, i1: int, i2: int) -> None:
     if not (1 <= i1 <= n and 1 <= i2 <= n):
         raise InvalidParamsError(f"need 1 <= i1, i2 <= n, got n={n}, i1={i1}, i2={i2}")
-    out = []
-    for d in range(0, min(i1, i2) + 1):
-        lo = max(0, (i1 + i2 - n) - d)
-        hi = min(i1, i2) - d
-        for k in range(lo, hi + 1):
-            out.append(GeomParams(n, i1, i2, d, k))
-    return out
 
 
-def _parabolic_subgroup(n: int, omit: int) -> frozenset:
-    """Subgroup generated by all simple reflections except the omitted one."""
-    gens = [simple_reflection(n, i) for i in range(1, n + 1) if i != omit]
-    seen = {SignedPermutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return frozenset(seen)
+def _k_range(n: int, i1: int, i2: int, d: int) -> range:
+    """The admissible k for d: empty exactly when d is not in 0..min(i1, i2)."""
+    return range(max(0, (i1 + i2 - n) - d), min(i1, i2) - d + 1) if d >= 0 else range(0)
+
+
+def enumerate_geom_params(n: int, i1: int, i2: int) -> list:
+    """All admissible (d, k) in lexicographic order; never empty."""
+    _check_indices(n, i1, i2)
+    return [GeomParams(n, i1, i2, d, k)
+            for d in range(min(i1, i2) + 1) for k in _k_range(n, i1, i2, d)]
 
 
 # The largest rank searched: the group has 2^n n! elements, 384 at rank 4.
@@ -326,26 +322,28 @@ def brute_force_coset_reps(n: int, i1: int, i2: int) -> frozenset:
         raise BruteForceBoundError(
             f"exhaustive search over rank {n} exceeds the bound {_BRUTE_FORCE_MAX_N}"
         )
-    if not (1 <= i1 <= n and 1 <= i2 <= n):
-        raise InvalidParamsError(f"need 1 <= i1, i2 <= n, got n={n}, i1={i1}, i2={i2}")
-    left = _parabolic_subgroup(n, i1)
-    right = _parabolic_subgroup(n, i2)
-    everyone = sorted(all_elements(n), key=lambda w: (length(w), w.window))
-    seen: set = set()
-    reps = []
-    for g in everyone:
+    _check_indices(n, i1, i2)
+    left = [simple_reflection(n, i) for i in range(1, n + 1) if i != i1]
+    right = [simple_reflection(n, i) for i in range(1, n + 1) if i != i2]
+    lengths = {w: length(w) for w in all_elements(n)}
+    seen, reps = set(), []
+    for g in sorted(lengths, key=lambda w: (lengths[w], w.window)):
         if g in seen:
             continue
-        orbit = {u * g * v for u in left for v in right}
-        seen |= orbit
-        ranked = sorted(orbit, key=lambda w: (length(w), w.window))
-        best = ranked[0]
-        if len(ranked) > 1 and length(ranked[1]) == length(best):
+        # Nothing before g in this order lies in its coset: g is the minimum.
+        coset, frontier = {g}, [g]
+        while frontier:
+            h = frontier.pop()
+            new = {s * h for s in left} | {h * s for s in right}
+            frontier += new - coset
+            coset |= new
+        seen |= coset
+        if sum(1 for w in coset if lengths[w] == lengths[g]) > 1:
             raise BruteForceBoundError(
                 f"non-unique minimal length in a double coset at n={n}, "
                 f"i1={i1}, i2={i2}"
             )
-        reps.append(best)
+        reps.append(g)
     return frozenset(reps)
 
 

@@ -90,6 +90,15 @@ class TestParser:
         with pytest.raises(ExpressionError):
             parse_expression("d(1,1@ghost) |x| sigma", gl, gu)
 
+    def test_only_decimal_digits_are_numbers(self, resolvers):
+        gl, gu = resolvers
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("d(\u00b2,1@rho) |x| sigma", gl, gu)
+        assert str(err.value) == "1:3: unexpected character '\u00b2'"
+        # Arabic-Indic three is a decimal digit
+        expr = parse_expression("d(\u0663,\u0663@rho) |x| sigma", gl, gu)
+        assert (expr.gl_part[0].a, expr.gl_part[0].b) == (h(6), h(6))
+
     def test_mixed_parity_rejected(self, resolvers):
         gl, gu = resolvers
         with pytest.raises(ExpressionError):

@@ -25,10 +25,16 @@ class TestHalfInt:
         assert HalfInt("-1/2").twice == -1
         assert HalfInt("-3").twice == -6
         assert HalfInt.from_twice(7) == HalfInt("7/2")
+        # Arabic-Indic three is a decimal digit
+        assert HalfInt("\u0663").twice == 6
+        assert HalfInt("\u0663/2").twice == 3
 
     def test_rejects_non_halves(self):
         with pytest.raises(ValueError):
             HalfInt("3/4")
+        for text in ("\u00b2", "\u00b2/2", "1\u00b2"):
+            with pytest.raises(ValueError, match="not a half-integer literal"):
+                HalfInt(text)
         with pytest.raises(TypeError):
             HalfInt(1.5)
 

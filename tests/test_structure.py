@@ -516,7 +516,7 @@ class TestJacquetByShape:
             with pytest.raises(ShapeError):
                 jacquet_by_shape(g, shape)
         g = GUClass([seg(RHO, 1, 3)], SIGMA)
-        for shape in ((1.5,), (2.9, 1), "12", "1,2", (True,)):
+        for shape in ((1.5,), (2.9, 1), "12", "1,2", (True,), 2, None):
             with pytest.raises(ShapeError):
                 jacquet_by_shape(g, shape)
 

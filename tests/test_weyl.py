@@ -48,6 +48,28 @@ class TestSignedPermutation:
         assert SignedPermutation((3, 2, 1)).cycles() == "(1 3)"
         assert SignedPermutation.identity(2).cycles() == "id"
 
+    def test_from_window_rejects_non_bijections(self):
+        for window in ((1, -1), (2, 2), (0, 1)):
+            with pytest.raises(InvalidParamsError):
+                SignedPermutation.from_window(window)
+
+    def test_window_is_the_element_rank3(self):
+        els = list(all_elements(3))
+        assert len(set(els)) == 48
+        identity = SignedPermutation.identity(3)
+        letters = [j for j in range(-3, 4) if j]
+        for w in els:
+            assert SignedPermutation(w.perm, w.signs) == w
+            assert SignedPermutation.from_window(w.window) == w
+            assert w * w.inverse() == identity
+        for u, v in itertools.product(els, repeat=2):
+            uv = u * v
+            assert all(uv(j) == u(v(j)) for j in letters)
+
+    def test_ranks_must_agree(self):
+        with pytest.raises(InvalidParamsError):
+            SignedPermutation.identity(3) * SignedPermutation.identity(2)
+
 
 class TestRoots:
     def test_counts(self):
