@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import JacquetError, UnknownLabelError
@@ -165,11 +166,16 @@ def _mode(args) -> GroupMode:
     return GroupMode[getattr(args, "group", "GU")]
 
 
+_SHAPE_BLOCK = re.compile(r"-?\d+")
+
+
 def _parse_shape(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise JacquetError(f"invalid shape {text!r}; expected n1,n2,...") from None
+    """The blocks of ``n1,n2,...``, each an optional ``-`` and decimal
+    digits; ``jacquet_by_shape`` rejects a block that is not positive."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(_SHAPE_BLOCK.fullmatch(part) for part in parts):
+        raise JacquetError(f"invalid shape {text!r}; expected n1,n2,...")
+    return tuple(map(int, parts))
 
 
 def _wants_json(args) -> bool:
@@ -308,9 +314,9 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_enum_sp(args) -> int:
-    registry = load_declarations(args.decls)
-    sigma = registry.gu(args.sigma)
-    rhos = [registry.gl(name) for name in args.rhos.split(",") if name.strip()]
+    gl, gu = _registry_for(args)
+    sigma = gu(args.sigma)
+    rhos = [gl(name) for name in args.rhos.split(",") if name.strip()]
     entries = enumerate_sp(
         rhos, sigma, HalfInt(args.max_b), _mode(args), strict=args.strict_jord
     )
@@ -336,11 +342,11 @@ def _cmd_enum_sp(args) -> int:
 
 
 def _cmd_check_lj(args) -> int:
-    registry = load_declarations(args.decls)
+    gl, gu = _registry_for(args)
     try:
         with open(args.datum, encoding="utf-8") as handle:
             datum_obj = json.load(handle)
-        datum = lj_from_obj(datum_obj, registry.gl, registry.gu)
+        datum = lj_from_obj(datum_obj, gl, gu)
     except (JacquetError, ValueError) as exc:
         raise JacquetError(f"{args.datum}: {exc}") from None
     report = validate_lj(datum, strict=args.strict_jord)

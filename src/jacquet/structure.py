@@ -33,7 +33,9 @@ canonical GL factor: its public form is read off by id and built once,
 through the trusted constructors of ``grothendieck``.  ``twisted_rtimes``
 and ``mu_star`` run one fold kernel, ``_fold``, which numbers every
 segment its steps can produce and, at every step but the last, merges
-terms in a dict keyed by id tuples and an anchor-twist id.
+terms in a dict keyed by id tuples and an anchor id, one per anchor twist
+with its nu sums; terms equal up to nu merge only in the last step, by
+their public keys.
 ``jacquet_by_shape`` numbers, before any cut, the sub-segments of the
 class's segments and of their duals: every piece a mu* GL factor or a
 cut of one can hold.  Its rank filter adds up ranks read once per id; a
@@ -195,16 +197,17 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     ``twisted_rtimes(sum of the entries, acc, mode)``.  Every segment the
     fold can produce (the dualized first, second and third pieces of the
     entries, and the segments of ``start``) gets its ``_numbering`` id
-    first.  An anchor (label, twist) is interned as a rep id, for the
-    first tag seen with those entries, and a key id, for its (label, twist
-    key).  Every step but the last accumulates into a dict keyed by (GL
-    ids, GU ids, anchor key id) that holds [multiplicity, rep id].  The
+    first.  An anchor (label, twist) is interned as a rep id, one per
+    (label, twist entries), nu sums included.  Every step but the last
+    accumulates into a dict that maps (GL ids, GU ids, rep id) to a
+    multiplicity, so terms whose twists differ only in nu stay apart.  The
     last step builds the public terms through the trusted constructors,
-    sharing each anchor factor among its terms.
+    sharing each anchor factor among its terms, and merges them by their
+    public keys, which leave nu out.
 
     The entries are walked outer and the accumulator inner, and a merged
-    term keeps its first rep, so the nu sums a merged twist shows are
-    those of the object-level fold.  ``layer`` names the caller in the
+    term keeps the first term built, so the nu sums a merged twist shows
+    are those of the object-level fold.  ``layer`` names the caller in the
     ``TermLimitError`` raised as soon as a step grows past the cap.
     """
     segs, keys, ids = _numbering(chain(
@@ -225,34 +228,31 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         plans.append((what, plan))
 
     reps: list = []       # rep id -> (anchor label, twist)
-    rep_key: list = []    # rep id -> anchor key id
     rep_ids: dict = {}    # (label name, twist entries) -> rep id
-    key_ids: dict = {}    # (label name, twist key) -> anchor key id
 
-    def intern(sigma, twist) -> tuple:
+    def intern(sigma, twist) -> int:
         rid = rep_ids.get((sigma.name, twist.entries))
         if rid is None:
             rid = rep_ids[(sigma.name, twist.entries)] = len(reps)
             reps.append((sigma, twist))
-            rep_key.append(key_ids.setdefault((sigma.name, twist.key), len(key_ids)))
-        return rep_key[rid], rid
+        return rid
 
     acc: dict = {}
     for tt, ct in start.items():
         pi4, anchor = tt.factors
-        kid, rid = intern(anchor.sigma, anchor.twist)
-        acc[(id_tuple(pi4.segments), id_tuple(anchor.segments), kid)] = [ct, rid]
+        acc[(id_tuple(pi4.segments), id_tuple(anchor.segments),
+             intern(anchor.sigma, anchor.twist))] = ct
 
     def mover(omega, moved_by: dict):
-        """rep id -> (key id, rep id) once the twist ``omega`` of a first
-        piece has twisted the anchor, or None when there is none;
-        ``moved_by`` caches it for one step."""
+        """rep id -> rep id once the twist ``omega`` of a first piece has
+        twisted the anchor, or None when there is none; ``moved_by``
+        caches it for one step."""
         if omega is None:
             return None
         moved = moved_by.get(omega.entries)
         if moved is None:
             moved = moved_by[omega.entries] = {}
-            for rid in {v[1] for v in acc.values()}:
+            for rid in {rid for _, _, rid in acc}:
                 sigma, twist = reps[rid]
                 moved[rid] = intern(sigma, _absorb_fixed(sigma, twist.merge(omega)))
         return moved
@@ -263,31 +263,30 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         moved_by: dict = {}
         for low, mid, omega, cm in plan:
             moved = mover(omega, moved_by)
-            for (gl, gu, kid), (ct, rid) in acc.items():
+            for (gl, gu, rid), ct in acc.items():
                 if moved is not None:
-                    kid, rid = moved[rid]
-                key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), kid)
-                entry = nxt.get(key)
-                if entry is None:
-                    nxt[key] = [cm * ct, rid]
+                    rid = moved[rid]
+                key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), rid)
+                old = nxt.get(key)
+                if old is None:
+                    nxt[key] = cm * ct
                     if len(nxt) > cap:
                         raise _over_cap(what, len(nxt), cap)
                 else:
-                    entry[0] += cm * ct
+                    nxt[key] = old + cm * ct
         acc = nxt
 
     what, plan = plans[-1]
     seg_at, key_at = segs.__getitem__, keys.__getitem__
     new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
-    flat = [(gl, gu, ct, rid) for (gl, gu, _), (ct, rid) in acc.items()]
     gus: dict = {}        # (GU ids, rep id) -> GUClass
     moved_by = {}
     out: dict = {}
     for low, mid, omega, cm in plan:
         moved = mover(omega, moved_by)
-        for gl, gu, ct, rid in flat:
+        for (gl, gu, rid), ct in acc.items():
             if moved is not None:
-                rid = moved[rid][1]
+                rid = moved[rid]
             gl = tuple(sorted(low + gl))
             gl_factor = new_gl(tuple(map(seg_at, gl)), tuple(map(key_at, gl)))
             gu = (tuple(sorted(mid + gu)), rid)
@@ -349,6 +348,8 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
 def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
     """The structure formula: a sum of (GL factor, anchor factor) terms
     whose ranks always add up to the rank of ``g``."""
+    if not isinstance(g, GUClass):
+        raise KindMismatchError(f"mu_star needs a GUClass, got {type(g).__name__}")
     return mu_star_of_segments(g.segments, g.sigma, g.twist, mode)
 
 
@@ -455,9 +456,13 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     anchor factor.  Raises ``ShapeError`` for a shape that is not
     iterable, a block that is not a positive int or a total above the GL
     rank of ``g``, and ``TermLimitError`` as soon as the partial module
-    exceeds JACQUET_MAX_TERMS.
+    exceeds JACQUET_MAX_TERMS, and ``KindMismatchError`` when ``g`` is
+    not a ``GUClass``.
     """
     mode = GroupMode(mode)
+    if not isinstance(g, GUClass):
+        raise KindMismatchError(
+            f"jacquet_by_shape needs a GUClass, got {type(g).__name__}")
     try:
         shape = tuple(shape)
     except TypeError:

@@ -169,7 +169,9 @@ def positive_roots(n: int) -> tuple:
 
 
 def simple_roots(n: int) -> tuple:
-    """e_i - e_{i+1} for i < n, then 2e_n - e_0."""
+    """e_i - e_{i+1} for i < n, then 2e_n - e_0; none for n < 1."""
+    if n < 1:
+        return ()
     out = []
     for i in range(n - 1):
         vec = [0] * n

@@ -238,6 +238,23 @@ class TestCommands:
                      "--datum", str(path)]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_enum_sp_resolves_dual_names(self, decls_file, capsys):
+        outs = []
+        for rhos in ("rho", "rho~"):
+            assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",
+                         "--rhos", rhos, "--max-b", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_check_lj_resolves_dual_names(self, decls_file, tmp_path, capsys):
+        datum = {"sigma": "sigma",
+                 "jord": [{"rho": "rho~", "a": "2", "b": ["1", "2"]}]}
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum))
+        assert main(["check-lj", "--decls", decls_file,
+                     "--datum", str(path)]) == 0
+        assert "pass" in capsys.readouterr().out
+
     def test_check_lj_invalid(self, decls_file, tmp_path, capsys):
         datum = {"sigma": "sigma",
                  "jord": [{"rho": "rho", "a": "2", "b": ["2", "1"]}]}
@@ -263,6 +280,18 @@ class TestCommands:
         assert main(["jacquet", "d(0,1@rho) |x| sigma", "--shape", "1,0"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("shape, message", [
+        ("1_1", "error: invalid shape '1_1'; expected n1,n2,..."),
+        ("+1", "error: invalid shape '+1'; expected n1,n2,..."),
+        ("0", "error: shape blocks must be positive ints, got (0,)"),
+        ("-1", "error: shape blocks must be positive ints, got (-1,)"),
+    ])
+    def test_shape_blocks_are_decimal_ints(self, shape, message, capsys):
+        assert main(["jacquet", "d(0,1@rho) |x| sigma", "--shape", shape]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     @pytest.mark.parametrize("doc", [
         [{"name": "rho"}],

@@ -75,6 +75,7 @@ class TestRoots:
     def test_counts(self):
         assert len(positive_roots(3)) == 9
         assert len(simple_roots(3)) == 3
+        assert positive_roots(0) == simple_roots(0) == ()
 
     def test_simple_reflection_lengths(self):
         for n in (1, 2, 3, 4):
