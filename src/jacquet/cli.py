@@ -115,23 +115,17 @@ def load_declarations(path: str) -> LabelRegistry:
 
 
 def make_resolvers(registry: LabelRegistry, permissive: bool):
-    """Name -> label callables; permissive mode auto-declares defaults."""
+    """Name -> label callables; permissive mode auto-declares an unknown
+    name's base (the name without trailing ``~``) with defaults."""
 
     def resolve_gl(name: str):
-        # An undeclared ``~`` name is the dual of its base, resolved the
-        # same way; a loop, so a long run of markers cannot exhaust the stack.
-        duals = 0
-        while True:
-            try:
-                label = registry.gl(name)
-            except UnknownLabelError:
-                if name.endswith(DUAL_MARKER):
-                    name, duals = name[: -len(DUAL_MARKER)], duals + 1
-                    continue
-                if not permissive:
-                    raise
-                label = registry.declare_gl(name)
-            return label.dual() if duals % 2 else label
+        try:
+            return registry.gl(name)
+        except UnknownLabelError:
+            if not permissive:
+                raise
+            registry.declare_gl(name.rstrip(DUAL_MARKER))
+            return registry.gl(name)
 
     def resolve_gu(name: str):
         try:

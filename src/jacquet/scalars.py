@@ -171,57 +171,54 @@ def _parse_twice(text: str) -> int:
     return -t if neg else t
 
 
-# Suffix used to derive the name of the conjugate-dual partner of a label
-# that is not conjugate self-dual.
+# Suffix that names the conjugate-dual partner of a label that is not
+# conjugate self-dual.
 DUAL_MARKER = "~"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class CuspidalGLLabel:
+class CuspidalGLLabel(Keyed):
     """Opaque label for an irreducible cuspidal representation of a GL group.
 
-    Equality and hashing go by name only; the registry is responsible for
-    rejecting one name with two different ``attributes``.
+    Equality and hashing go by name (``key`` is ``(name,)``); the registry
+    is responsible for rejecting one name with two different
+    ``attributes``.  The conjugate-dual partner of a label that is not
+    conjugate self-dual is named from the name alone: an even run of
+    trailing ``~`` gains one and an odd run loses one, so ``chi`` and
+    ``chi~`` are each other's partners, as are ``chi~~`` and ``chi~~~``.
     """
 
     name: str
     dim: int = 1
     conj_self_dual: bool = True
-    dual_name: str = ""
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"label {self.name!r}: dim must be >= 1")
-        if not self.dual_name:
-            partner = self.name if self.conj_self_dual else self.name + DUAL_MARKER
-            object.__setattr__(self, "dual_name", partner)
+        object.__setattr__(self, "key", (self.name,))
 
     @property
     def attributes(self) -> tuple:
-        """(dim, conj_self_dual, dual_name): everything but the name, which
-        two labels of one name must agree on."""
-        return (self.dim, self.conj_self_dual, self.dual_name)
+        """(dim, conj_self_dual): everything but the name, which two labels
+        of one name must agree on."""
+        return (self.dim, self.conj_self_dual)
 
     def dual(self) -> "CuspidalGLLabel":
         """The conjugate-dual label; an involution."""
         if self.conj_self_dual:
             return self
-        return CuspidalGLLabel(self.dual_name, self.dim, False, dual_name=self.name)
-
-    def __eq__(self, other):
-        if isinstance(other, CuspidalGLLabel):
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
+        name = self.name
+        if (len(name) - len(name.rstrip(DUAL_MARKER))) % 2:
+            return CuspidalGLLabel(name[:-len(DUAL_MARKER)], self.dim, False)
+        return CuspidalGLLabel(name + DUAL_MARKER, self.dim, False)
 
     def __repr__(self):
         return f"CuspidalGLLabel({self.name!r}, dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)
-class GUCuspidalLabel:
+class GUCuspidalLabel(Keyed):
     """Opaque label for a cuspidal anchor representation of the bigger group.
 
     ``reducibility`` declares, per GL label, the non-negative half-integral
@@ -229,12 +226,14 @@ class GUCuspidalLabel:
     input data, never computed.  ``twist_fixed`` lists the GL labels whose
     central-character twist is declared to fix this anchor, which lets the
     engine erase the corresponding twist tags at canonicalization.
+    Equality and hashing go by name, as for ``CuspidalGLLabel``.
     """
 
     name: str
     rank: int = 0
     reducibility: Mapping[CuspidalGLLabel, HalfInt] = None  # type: ignore[assignment]
     twist_fixed: frozenset = frozenset()
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 0:
@@ -249,14 +248,12 @@ class GUCuspidalLabel:
             red[rho] = v
         object.__setattr__(self, "reducibility", red)
         object.__setattr__(self, "twist_fixed", frozenset(self.twist_fixed))
+        object.__setattr__(self, "key", (self.name,))
 
-    def __eq__(self, other):
-        if isinstance(other, GUCuspidalLabel):
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
+    @property
+    def attributes(self) -> tuple:
+        """(rank, reducibility, twist_fixed): everything but the name."""
+        return (self.rank, self.reducibility, self.twist_fixed)
 
     def __repr__(self):
         return f"GUCuspidalLabel({self.name!r}, rank={self.rank})"
@@ -333,10 +330,14 @@ TRIVIAL_TWIST = TwistTag()
 class LabelRegistry:
     """Append-only name table for cuspidal labels.
 
-    Redeclaring a name with identical attributes is a no-op returning the
-    existing label; redeclaring with different attributes raises, since
-    silent attribute drift would corrupt canonical forms.  Reads are
-    lock-free; writes are serialized.
+    Declaring a GL label that is not conjugate self-dual also declares its
+    dual partner, whose name follows from the label's (see
+    ``CuspidalGLLabel``); declaring the partner itself afterwards, or
+    first, gives the same pair.  Redeclaring a name with identical
+    attributes is a no-op returning the existing label; a declaration
+    that would hold any name with different attributes raises and holds
+    nothing, since silent attribute drift would corrupt canonical forms.
+    Reads are lock-free; writes are serialized.
     """
 
     def __init__(self):
@@ -344,44 +345,43 @@ class LabelRegistry:
         self._gu: dict = {}
         self._lock = threading.Lock()
 
-    def declare_gl(self, name: str, dim: int = 1, conj_self_dual: bool = True,
-                   dual_name: str = "") -> CuspidalGLLabel:
-        label = CuspidalGLLabel(name, dim, conj_self_dual, dual_name)
+    def _declare(self, table: dict, kind: str, labels: tuple):
+        """Hold each of ``labels`` not yet held, after checking that every
+        one already held has the same attributes; return the held first."""
         with self._lock:
-            existing = self._gl.get(name)
-            if existing is not None:
-                if existing.attributes != label.attributes:
+            held = [table.get(label.name) for label in labels]
+            for label, old in zip(labels, held):
+                if old is not None and old.attributes != label.attributes:
                     raise LabelConflictError(
-                        f"GL label {name!r} redeclared with different attributes"
+                        f"{kind} label {label.name!r} redeclared with different attributes"
                     )
-                return existing
-            self._gl[name] = label
-            if not label.conj_self_dual and label.dual_name not in self._gl:
-                self._gl[label.dual_name] = label.dual()
-        return label
+            for label, old in zip(labels, held):
+                if old is None:
+                    table[label.name] = label
+        return held[0] or labels[0]
+
+    def declare_gl(self, name: str, dim: int = 1,
+                   conj_self_dual: bool = True) -> CuspidalGLLabel:
+        label = CuspidalGLLabel(name, dim, conj_self_dual)
+        return self._declare(self._gl, "GL", (label, label.dual()))
 
     def declare_gu(self, name: str, rank: int = 0,
                    reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
                    twist_fixed: Iterable = ()) -> GUCuspidalLabel:
         label = GUCuspidalLabel(name, rank, reducibility or {}, frozenset(twist_fixed))
-        with self._lock:
-            existing = self._gu.get(name)
-            if existing is not None:
-                if (existing.rank, existing.reducibility, existing.twist_fixed) != (
-                    label.rank, label.reducibility, label.twist_fixed
-                ):
-                    raise LabelConflictError(
-                        f"GU label {name!r} redeclared with different attributes"
-                    )
-                return existing
-            self._gu[name] = label
-        return label
+        return self._declare(self._gu, "GU", (label,))
 
     def gl(self, name: str) -> CuspidalGLLabel:
-        try:
-            return self._gl[name]
-        except KeyError:
-            raise UnknownLabelError(f"unknown GL label {name!r}") from None
+        """The GL label ``name``.  An undeclared name ending in ``~`` is the
+        dual of the name without that marker, so the longest declared
+        prefix decides, dualized once per marker after it."""
+        base, duals = name, 0
+        while base not in self._gl:
+            if not base.endswith(DUAL_MARKER):
+                raise UnknownLabelError(f"unknown GL label {name!r}")
+            base, duals = base[:-len(DUAL_MARKER)], duals + 1
+        label = self._gl[base]
+        return label.dual() if duals % 2 else label
 
     def gu(self, name: str) -> GUCuspidalLabel:
         try:

@@ -337,6 +337,9 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     ``nu`` of the first one folded, so an equal sum can print other ``nu``
     values in another order; ``mu_star`` folds in canonical order.
     """
+    if not isinstance(sigma, GUCuspidalLabel):
+        raise KindMismatchError(
+            f"mu_star_of_segments needs a GUCuspidalLabel anchor, got {type(sigma).__name__}")
     mode = GroupMode(mode)
     start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     if not segments:

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import jacquet
-from jacquet import ExpressionError, LabelRegistry, UnknownLabelError
-from jacquet.cli import main, make_resolvers
+from jacquet import ExpressionError, JacquetError, LabelRegistry, UnknownLabelError
+from jacquet.cli import build_parser, main, make_resolvers
 from jacquet.expressions import format_expression, parse_expression, parse_tensor_target
 from helpers import h
 
@@ -47,6 +47,12 @@ def decls_file(tmp_path):
     path = tmp_path / "decls.json"
     path.write_text(json.dumps(DECLS))
     return str(path)
+
+
+def _handler(*argv):
+    """Run one subcommand's handler directly, so its error propagates."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 class TestParser:
@@ -115,6 +121,33 @@ class TestParser:
         assert gl("chi" + "~" * 2001).name == "chi~"
         with pytest.raises(UnknownLabelError):
             gl("ghost" + "~" * 2000)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda gl, gu: parse_expression("d(1,1@rho", gl, gu),
+         "1:10: expected ')' but found 'end of input'"),
+        (lambda gl, gu: parse_expression("d(1/3,1@rho)", gl, gu),
+         "1:5: only halves are allowed, found denominator 3"),
+        (lambda gl, gu: parse_expression("e(1,1@rho)", gl, gu),
+         "1:1: expected a segment 'd(...)' but found 'e'"),
+        (lambda gl, gu: parse_expression("2 |x| sigma", gl, gu),
+         "1:1: the only numeric glpart is the unit '1', found '2'"),
+        (lambda gl, gu: parse_expression("d(1,1@rho) |x| sigma extra", gl, gu),
+         "1:22: unexpected trailing input 'extra'"),
+        (lambda gl, gu: parse_expression("d(1,1@rho) |x| tau", gl, gu),
+         "1:16: unknown GU label 'tau'"),
+        (lambda gl, gu: parse_expression("d(1,1@rho)", gl, gu).gu_class(),
+         "1:1: expression has no |x| anchor"),
+        (lambda gl, gu: _handler("mustar", "d(1,1@rho)"),
+         "mustar needs an anchored expression 'glpart |x| sigma'"),
+        (lambda gl, gu: _handler("mult", "d(1,1@rho) |x| sigma",
+                                 "--term", "d(1,1@rho)", "--shape", "1"),
+         "the multiplicity target must end with an anchored factor; "
+         "write '... (x) 1 |x| sigma' for a bare anchor"),
+    ])
+    def test_error_messages(self, resolvers, call, message):
+        with pytest.raises(JacquetError) as err:
+            call(*resolvers)
+        assert str(err.value) == message
 
     def test_tensor_target(self, resolvers):
         gl, gu = resolvers
@@ -255,6 +288,40 @@ class TestCommands:
                      "--datum", str(path)]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_declared_partner_in_either_order(self, tmp_path, capsys):
+        outs = []
+        for names in (("chi",), ("chi", "chi~"), ("chi~", "chi")):
+            path = tmp_path / "decls.json"
+            path.write_text(json.dumps({
+                "gl": [{"name": n, "conj_self_dual": False} for n in names],
+                "gu": [{"name": "sigma"}],
+            }))
+            assert main(["mustar", "d(0,1@chi) x d(0,0@chi~) |x| sigma",
+                         "--decls", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert "w_chi~ " in outs[0] and "chi~~" not in outs[0]
+
+    def test_tilde_names_resolve_in_declarations(self, decls_file, tmp_path, capsys):
+        doc = json.loads(json.dumps(DECLS))
+        doc["gu"][0]["reducibility"] = {"rho~": "2", "rho2": "1/2"}
+        doc["gu"][0]["twist_fixed"] = ["rho~", "rho2~~"]
+        path = tmp_path / "tilde.json"
+        path.write_text(json.dumps(doc))
+        outs = []
+        for decls in (decls_file, str(path)):
+            assert main(["enum-sp", "--decls", decls, "--sigma", "sigma",
+                         "--rhos", "rho,rho2", "--max-b", "2"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_unknown_tilde_name_reported_as_typed(self, decls_file, capsys):
+        assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",
+                     "--rhos", "ghost~"]) == 1
+        assert capsys.readouterr().err == "error: unknown GL label 'ghost~'\n"
+        assert main(["mustar", "d(0,0@ghost~~) |x| sigma", "--decls", decls_file]) == 1
+        assert capsys.readouterr().err == "error: 1:7: unknown GL label 'ghost~~'\n"
+
     def test_check_lj_invalid(self, decls_file, tmp_path, capsys):
         datum = {"sigma": "sigma",
                  "jord": [{"rho": "rho", "a": "2", "b": ["2", "1"]}]}
@@ -314,6 +381,7 @@ class TestCommands:
         {"gl": [{"name": "rho"}], "gu": [{"name": "sigma", "reducibility": {"rho": 2.0}}]},
         {"gl": [{"name": "rho"}, {"name": "rho", "dim": 2}]},
         "not json",
+        {"gl": [{"name": "rho"}, {"name": "rho~", "conj_self_dual": False}]},
     ])
     def test_malformed_declarations(self, doc, tmp_path, capsys):
         path = tmp_path / "decls.json"

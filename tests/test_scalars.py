@@ -144,6 +144,14 @@ class TestLabels:
         rho = CuspidalGLLabel("rho")
         assert rho.dual() is rho
 
+    def test_partner_by_marker_parity(self):
+        for name, partner in [("chi", "chi~"), ("chi~", "chi"),
+                              ("chi~~", "chi~~~"), ("chi~~~", "chi~~")]:
+            label = CuspidalGLLabel(name, 2, conj_self_dual=False)
+            assert label.dual().name == partner
+            assert label.dual().attributes == (2, False)
+            assert label.dual().dual() == label
+
     def test_dim_positive(self):
         with pytest.raises(ValueError):
             CuspidalGLLabel("bad", dim=0)
@@ -173,6 +181,31 @@ class TestRegistry:
         reg = LabelRegistry()
         chi = reg.declare_gl("chi", 1, False)
         assert reg.gl("chi~") == chi.dual()
+
+    def test_partner_declared_in_either_order(self):
+        for names in (("chi", "chi~"), ("chi~", "chi")):
+            reg = LabelRegistry()
+            first = reg.declare_gl(names[0], 1, False)
+            second = reg.declare_gl(names[1], 1, False)
+            assert second is reg.gl(names[1]) == first.dual()
+            assert reg.gl("chi").dual() == reg.gl("chi~")
+            assert reg.gl("chi~~") == reg.gl("chi")
+            assert set(reg._gl) == {"chi", "chi~"}
+
+    def test_conflicting_partner_holds_nothing(self):
+        reg = LabelRegistry()
+        reg.declare_gl("chi~", 1, True)
+        with pytest.raises(LabelConflictError, match="'chi~'"):
+            reg.declare_gl("chi", 1, False)
+        with pytest.raises(UnknownLabelError):
+            reg.gl("chi")
+        reg = LabelRegistry()
+        reg.declare_gl("chi", 1, False)
+        with pytest.raises(LabelConflictError):
+            reg.declare_gl("chi~", 2, False)
+        with pytest.raises(LabelConflictError):
+            reg.declare_gl("chi~", 1, True)
+        assert [reg.gl(n).attributes for n in ("chi", "chi~")] == [(1, False)] * 2
 
     def test_unknown(self):
         reg = LabelRegistry()

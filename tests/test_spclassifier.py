@@ -312,6 +312,30 @@ class TestValidateLJ:
         assert report.ok and report.first_violation is None
 
 
+TAU = CuspidalGLLabel("tau")
+S = GUCuspidalLabel("s", reducibility={RHO: 2, RHO2: 0, CHI: 1})
+
+
+def _build(rho, a, *b):
+    return lambda: build_inducing_rep(LJDatum((JordSequence(rho, a, b),), S))
+
+
+@pytest.mark.parametrize("call, message", [
+    (_build(CHI, 1, 1), "condition (i) fails: label 'chi' is not conjugate self-dual"),
+    (_build(TAU, 1, 1), "condition (i) fails: no reducibility declared for 'tau' on 's'"),
+    (_build(RHO, 1, 1), "condition (i) fails: datum uses a=1 for 'rho' but 's' declares 2"),
+    (_build(RHO2, 0, 1),
+     "condition (i) fails: label 'rho2' has reducibility 0 and must be omitted"),
+    (_build(RHO, 2, -1, 0), "condition (iii) fails: 'rho': first exponent -1 is not > -1"),
+    (lambda: enumerate_sp([RHO], S, ["1", "2"]), "one max_b bound per label is required"),
+    (lambda: enumerate_jord(RHO, -1, 3), "reducibility point must be >= 0, got -1"),
+])
+def test_validation_messages(call, message):
+    with pytest.raises(InvalidDatumError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestPartialCuspidalSupport:
     def test_anchor_survives_full_restriction(self):
         # every term of the fully cuspidal Jacquet module keeps the anchor,

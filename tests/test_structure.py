@@ -202,6 +202,9 @@ class TestMuStar:
         for x in (mono(s), s, anchored):
             with pytest.raises(KindMismatchError):
                 mu_star(x)
+        for segments in ([], [s]):
+            with pytest.raises(KindMismatchError):
+                mu_star_of_segments(segments, "sigma")
 
     def test_cut_table_tells_same_named_labels_apart(self):
         # mstar_gl and the block split read the same per-segment memo as
@@ -224,7 +227,7 @@ class TestMuStar:
                 for p in [p for b in blocks for p in b.segments] + list(anchor.segments):
                     assert (p.rho.dim, p.rho.conj_self_dual) == attrs, label
                     names.add(p.rho.name)
-            duals = set() if label.conj_self_dual else {label.dual_name}
+            duals = set() if label.conj_self_dual else {label.dual().name}
             assert names == {label.name} | duals, label
 
     def test_matches_direct_transcription(self):
@@ -442,6 +445,13 @@ class TestFoldKernel:
         message = str(err.value)
         assert message.startswith("mu_star: folding d(1,3@rho),")
         assert "partial sum of 51 terms" in message
+        # a step before the last one
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
+        g = GUClass([seg(RHO, 0, 2), seg(RHO, 1, 3), seg(RHO, 2, 4)], SIGMA)
+        with pytest.raises(TermLimitError) as err:
+            mu_star(g)
+        assert str(err.value) == ("mu_star: folding d(0,2@rho), partial sum of 6 "
+                                  "terms exceeds JACQUET_MAX_TERMS (5 terms)")
 
     def test_term_cap_names_twisted_rtimes(self, monkeypatch):
         m = mstar_big(GLMonomial([seg(RHO, 0, 2), seg(RHO, 1, 3)]))
