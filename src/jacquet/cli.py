@@ -46,9 +46,6 @@ __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]
 
 # Optional entry fields: the check a value must pass and what it must be.
 _FIELDS = {
-    "dim": (lambda v: type(v) is int, "an int"),
-    "rank": (lambda v: type(v) is int, "an int"),
-    "conj_self_dual": (lambda v: type(v) is bool, "a bool"),
     "reducibility": (
         lambda v: isinstance(v, dict) and all(
             type(x) in (str, int) for x in v.values()

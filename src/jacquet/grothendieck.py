@@ -8,14 +8,14 @@ induced over a cuspidal anchor (with an accumulated twist tag), and a
 maps canonical monomials to nonzero arbitrary-precision multiplicities;
 equality of sums is equality of canonical forms.
 
-Everything is immutable; operations return new values and are safe to call
-concurrently.
+The three monomial types are slotted ``Keyed`` values, built once and never
+changed; a ``FormalSum`` is never changed after construction either.
+Operations return new values and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -74,20 +74,17 @@ def _product_text(segments: tuple) -> str:
     return " x ".join([s.text for s in segments]) if segments else "1"
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GLMonomial(Keyed):
     """Commutative product of nonempty segment classes; () is the unit.
 
     ``key`` is the tuple of the segments' keys.
     """
 
-    segments: tuple
-    key: tuple
+    __slots__ = ("segments", "key")
 
     def __init__(self, segments: Iterable[Segment] = ()):
         segments = _canonical_segments(segments)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "key", tuple(s.key for s in segments))
+        self._fill(segments, tuple(s.key for s in segments))
 
     @classmethod
     def _trusted(cls, segments: tuple, key: tuple) -> "GLMonomial":
@@ -122,7 +119,6 @@ class GLMonomial(Keyed):
         return _product_text(self.segments)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class GUClass(Keyed):
     """Class of a product of segment classes induced over a cuspidal anchor.
 
@@ -131,21 +127,20 @@ class GUClass(Keyed):
     absorbs.  ``key`` is (segment keys, anchor name, twist key).
     """
 
-    segments: tuple
-    sigma: GUCuspidalLabel
-    twist: TwistTag
-    key: tuple
+    __slots__ = ("segments", "sigma", "twist", "key")
 
     def __init__(self, segments: Iterable[Segment], sigma: GUCuspidalLabel,
                  twist: TwistTag = TRIVIAL_TWIST):
+        if not isinstance(sigma, GUCuspidalLabel):
+            raise KindMismatchError(
+                f"a GUClass needs a GUCuspidalLabel anchor, got {type(sigma).__name__}")
+        if not isinstance(twist, TwistTag):
+            raise KindMismatchError(
+                f"a GUClass needs a TwistTag, got {type(twist).__name__}")
         segments = _canonical_segments(segments)
         twist = _absorb_fixed(sigma, twist)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(
-            self, "key", (tuple(s.key for s in segments), sigma.name, twist.key)
-        )
+        self._fill(segments, sigma, twist,
+                   (tuple(s.key for s in segments), sigma.name, twist.key))
 
     @classmethod
     def _trusted(cls, segments: tuple, sigma: GUCuspidalLabel, twist: TwistTag,
@@ -173,13 +168,11 @@ class GUClass(Keyed):
         return f"{_product_text(self.segments)} |x| {anchor}"
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class TensorTerm(Keyed):
     """A monomial in a tensor power: a tuple of GL factors, the last
     optionally a GU class.  ``key`` is the tuple of the factors' keys."""
 
-    factors: tuple
-    key: tuple
+    __slots__ = ("factors", "key")
 
     def __init__(self, factors: Iterable):
         factors = tuple(factors)
@@ -189,8 +182,7 @@ class TensorTerm(Keyed):
                     raise KindMismatchError("a GU factor may only sit in the last slot")
             elif not isinstance(f, GLMonomial):
                 raise KindMismatchError(f"invalid tensor factor {f!r}")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "key", tuple(f.key for f in factors))
+        self._fill(factors, tuple(f.key for f in factors))
 
     @classmethod
     def _trusted(cls, factors: tuple, key: tuple) -> "TensorTerm":

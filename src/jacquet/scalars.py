@@ -5,17 +5,18 @@ integer, so arithmetic and comparisons are exact and canonical forms of
 monomials are stable.  Cuspidal representations are opaque labels: the only
 facts the calculus ever consults are a label's name, its GL rank, whether it
 is conjugate self-dual, and (for the anchor labels of the bigger group) the
-declared reducibility points and twist-fixedness.
+declared reducibility points and twist-fixedness.  Labels, twist tags and
+the value types built on them derive from ``Keyed``, which makes them
+immutable once constructed.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterable, Mapping
 
-from .errors import LabelConflictError, UnknownLabelError
+from .errors import KindMismatchError, LabelConflictError, UnknownLabelError
 
 __all__ = [
     "Keyed",
@@ -30,13 +31,34 @@ __all__ = [
 
 
 class Keyed:
-    """Identity through one stored canonical ``key``, a tuple of str/int.
+    """An immutable value identified by one stored canonical ``key``, a
+    tuple of str/int.
 
-    Equality, hashing and canonical output order all use ``key``; a
-    subclass computes it once at construction from its parts' keys.
+    Equality, hashing and canonical output order all use ``key``.  A
+    subclass declares ``__slots__``, ``key`` among them, and its
+    ``__init__`` stores every slot once through ``_fill``; no attribute
+    can be assigned or deleted after that, and copy and pickle carry the
+    slots through ``__getstate__``/``__setstate__``.
     """
 
     __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        self._fill(*state)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -176,27 +198,29 @@ def _parse_twice(text: str) -> int:
 DUAL_MARKER = "~"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class CuspidalGLLabel(Keyed):
     """Opaque label for an irreducible cuspidal representation of a GL group.
 
-    Equality and hashing go by name (``key`` is ``(name,)``); the registry
-    is responsible for rejecting one name with two different
-    ``attributes``.  The conjugate-dual partner of a label that is not
-    conjugate self-dual is named from the name alone: an even run of
-    trailing ``~`` gains one and an odd run loses one, so ``chi`` and
-    ``chi~`` are each other's partners, as are ``chi~~`` and ``chi~~~``.
+    ``dim`` must be an int >= 1 and ``conj_self_dual`` a bool, or
+    ``ValueError`` is raised.  Equality and hashing go by name (``key`` is
+    ``(name,)``); the registry is responsible for rejecting one name with
+    two different ``attributes``.  The conjugate-dual partner of a label
+    that is not conjugate self-dual is named from the name alone: an even
+    run of trailing ``~`` gains one and an odd run loses one, so ``chi``
+    and ``chi~`` are each other's partners, as are ``chi~~`` and
+    ``chi~~~``.
     """
 
-    name: str
-    dim: int = 1
-    conj_self_dual: bool = True
-    key: tuple = field(init=False, repr=False)
+    __slots__ = ("name", "dim", "conj_self_dual", "key")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"label {self.name!r}: dim must be >= 1")
-        object.__setattr__(self, "key", (self.name,))
+    def __init__(self, name: str, dim: int = 1, conj_self_dual: bool = True):
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"label {name!r}: dim must be an int >= 1, got {dim!r}")
+        if type(conj_self_dual) is not bool:
+            raise ValueError(
+                f"label {name!r}: conj_self_dual must be a bool, got {conj_self_dual!r}"
+            )
+        self._fill(name, dim, conj_self_dual, (name,))
 
     @property
     def attributes(self) -> tuple:
@@ -217,7 +241,14 @@ class CuspidalGLLabel(Keyed):
         return f"CuspidalGLLabel({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
+def _check_gl_labels(anchor: str, field: str, labels) -> None:
+    for rho in labels:
+        if not isinstance(rho, CuspidalGLLabel):
+            raise KindMismatchError(
+                f"label {anchor!r}: {field} needs CuspidalGLLabels, got {rho!r}"
+            )
+
+
 class GUCuspidalLabel(Keyed):
     """Opaque label for a cuspidal anchor representation of the bigger group.
 
@@ -226,29 +257,30 @@ class GUCuspidalLabel(Keyed):
     input data, never computed.  ``twist_fixed`` lists the GL labels whose
     central-character twist is declared to fix this anchor, which lets the
     engine erase the corresponding twist tags at canonicalization.
-    Equality and hashing go by name, as for ``CuspidalGLLabel``.
+    A rank that is not an int >= 0, or a negative point, raises
+    ``ValueError``; a GL entry that is not a ``CuspidalGLLabel`` raises
+    ``KindMismatchError``.  Equality and hashing go by name, as for
+    ``CuspidalGLLabel``.
     """
 
-    name: str
-    rank: int = 0
-    reducibility: Mapping[CuspidalGLLabel, HalfInt] = None  # type: ignore[assignment]
-    twist_fixed: frozenset = frozenset()
-    key: tuple = field(init=False, repr=False)
+    __slots__ = ("name", "rank", "reducibility", "twist_fixed", "key")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"label {self.name!r}: rank must be >= 0")
-        red = {}
-        for rho, val in (self.reducibility or {}).items():
-            v = HalfInt(val)
+    def __init__(self, name: str, rank: int = 0,
+                 reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
+                 twist_fixed: Iterable = frozenset()):
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
+        red = dict(reducibility or {})
+        fixed = frozenset(twist_fixed)
+        _check_gl_labels(name, "reducibility", red)
+        _check_gl_labels(name, "twist_fixed", fixed)
+        for rho, val in red.items():
+            red[rho] = v = HalfInt(val)
             if v < 0:
                 raise ValueError(
-                    f"label {self.name!r}: reducibility at {rho.name!r} must be >= 0"
+                    f"label {name!r}: reducibility at {rho.name!r} must be >= 0"
                 )
-            red[rho] = v
-        object.__setattr__(self, "reducibility", red)
-        object.__setattr__(self, "twist_fixed", frozenset(self.twist_fixed))
-        object.__setattr__(self, "key", (self.name,))
+        self._fill(name, rank, red, fixed, (name,))
 
     @property
     def attributes(self) -> tuple:
@@ -259,7 +291,6 @@ class GUCuspidalLabel(Keyed):
         return f"GUCuspidalLabel({self.name!r}, rank={self.rank})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class TwistTag(Keyed):
     """Formal product of central-character twists, as a free abelian group element.
 
@@ -268,12 +299,11 @@ class TwistTag(Keyed):
     tuple of (name, exponent) pairs.  The trivial tag is the empty tuple.
     """
 
-    entries: tuple = ()
-    key: tuple = field(init=False, repr=False)
+    __slots__ = ("entries", "key")
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         merged: dict = {}
-        for name, exp, nu in self.entries:
+        for name, exp, nu in entries:
             old_exp, old_nu = merged.get(name, (0, HalfInt(0)))
             merged[name] = (old_exp + int(exp), old_nu + HalfInt(nu))
         out = tuple(
@@ -281,8 +311,7 @@ class TwistTag(Keyed):
             for name, (exp, nu) in sorted(merged.items())
             if exp != 0
         )
-        object.__setattr__(self, "entries", out)
-        object.__setattr__(self, "key", tuple((n, e) for n, e, _ in out))
+        self._fill(out, tuple((n, e) for n, e, _ in out))
 
     @classmethod
     def omega(cls, label: "CuspidalGLLabel | str", nu: HalfInt = HalfInt(0)) -> "TwistTag":

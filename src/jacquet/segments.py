@@ -4,32 +4,31 @@ A segment ``[nu^a rho, nu^b rho]`` is a cuspidal label together with two
 half-integer bounds differing by an integer.  The value with b = a - 1 is
 the first-class empty segment; it prints as ``1`` and vanishes inside
 monomials, which lets summation bounds in the comultiplication formulas be
-implemented literally with no special cases.
+implemented literally with no special cases.  A ``Segment`` is a slotted
+``Keyed`` value: it cannot be changed after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import SegmentError
+from .errors import KindMismatchError, SegmentError
 from .scalars import CuspidalGLLabel, HalfInt, Keyed
 
 __all__ = ["Segment"]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Segment(Keyed):
-    rho: CuspidalGLLabel
-    a: HalfInt
-    b: HalfInt
-    key: tuple = field(init=False)
-    text: str = field(init=False)
+    """``[nu^a rho, nu^b rho]`` with ``HalfInt`` bounds (ints are converted);
+    ``key`` is ``(rho.name, 2a, 2b)`` and ``text`` the printed form."""
 
-    def __post_init__(self):
-        a = self.a if isinstance(self.a, HalfInt) else HalfInt(self.a)
-        b = self.b if isinstance(self.b, HalfInt) else HalfInt(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    __slots__ = ("rho", "a", "b", "key", "text")
+
+    def __init__(self, rho: CuspidalGLLabel, a: HalfInt, b: HalfInt):
+        if not isinstance(rho, CuspidalGLLabel):
+            raise KindMismatchError(
+                f"a segment needs a CuspidalGLLabel, got {type(rho).__name__}"
+            )
+        a = a if isinstance(a, HalfInt) else HalfInt(a)
+        b = b if isinstance(b, HalfInt) else HalfInt(b)
         diff = b.twice - a.twice
         if diff % 2 != 0:
             raise SegmentError(
@@ -37,10 +36,8 @@ class Segment(Keyed):
             )
         if diff < -2:
             raise SegmentError(f"segment bounds {a} > {b} + 1")
-        object.__setattr__(self, "key", (self.rho.name, a.twice, b.twice))
-        object.__setattr__(
-            self, "text", "1" if diff == -2 else f"d({a},{b}@{self.rho.name})"
-        )
+        self._fill(rho, a, b, (rho.name, a.twice, b.twice),
+                   "1" if diff == -2 else f"d({a},{b}@{rho.name})")
 
     @classmethod
     def empty(cls, rho: CuspidalGLLabel, a: "HalfInt | int" = 0) -> "Segment":

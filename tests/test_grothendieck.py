@@ -129,6 +129,40 @@ def test_tensor_multiply_examples():
     assert prod == FormalSum.of(expected)
 
 
+def test_sum_product_operator():
+    d = FormalSum.of(GLMonomial([seg(RHO, 0, 1)]))
+    square = d * d
+    assert square == gl_multiply(d, d) == FormalSum.of(GLMonomial([seg(RHO, 0, 1)] * 2))
+    assert len(square) == 1
+    t = FormalSum.of(TensorTerm((GLMonomial([S1]), GLMonomial())))
+    assert t * t == tensor_multiply(t, t)
+    assert d * 2 == 2 * d == d + d
+
+
+def test_sum_rejects_mixed_and_foreign_terms():
+    with pytest.raises(KindMismatchError):
+        FormalSum([(GLMonomial([S1]), 1), (GUClass([S1], SIGMA), 1)])
+    with pytest.raises(KindMismatchError):
+        FormalSum([(S1, 1)])
+    with pytest.raises(KindMismatchError):
+        TensorTerm(("x",))
+
+
+def test_gl_multiply_accepts_segments_and_monomials():
+    m = GLMonomial([S1])
+    expected = FormalSum.of(GLMonomial([S1, S2]))
+    assert gl_multiply(m, S2) == gl_multiply(S1, GLMonomial([S2])) == expected
+    for bad in ("x", GUClass([S1], SIGMA), FormalSum.of(GUClass([S1], SIGMA))):
+        with pytest.raises(KindMismatchError):
+            gl_multiply(m, bad)
+
+
+def test_tensor_multiply_of_zero():
+    t = FormalSum.of(TensorTerm((GLMonomial([S1]), GLMonomial())))
+    zero = FormalSum.zero()
+    assert tensor_multiply(t, zero).is_zero and tensor_multiply(zero, t).is_zero
+
+
 def test_term_limit(monkeypatch):
     monkeypatch.setenv("JACQUET_MAX_TERMS", "3")
     monos = [GLMonomial([seg(RHO, i, i)]) for i in range(5)]

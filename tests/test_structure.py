@@ -84,6 +84,15 @@ class TestMstarGL:
         with pytest.raises(SegmentError):
             mstar_gl(Segment.empty(RHO))
 
+    def test_linear_and_multiplicative_on_sums(self):
+        s, t = seg(RHO, 0, 1), seg(CHI, 1, 1)
+        x, y = FormalSum.of(mono(s)), FormalSum.of(mono(t))
+        assert mstar_gl(2 * x - y) == 2 * mstar_gl(s) - mstar_gl(t)
+        assert mstar_gl(x * y) == mstar_gl(s) * mstar_gl(t) == mstar_gl(mono(s, t))
+        square = mstar_gl(s) * mstar_gl(s)
+        assert len(square) == 6 and square == mstar_gl(x * x)
+        assert mstar_gl(FormalSum.zero()).is_zero
+
     def test_non_element_rejected(self):
         with pytest.raises(KindMismatchError):
             mstar_gl("x")
@@ -310,6 +319,13 @@ class TestTwistedRtimes:
 
         out = twisted_rtimes(self.unit3(), self.anchor(), GroupMode.GU)
         assert out == self.anchor()
+
+    def test_zero_inputs(self):
+        from jacquet import twisted_rtimes
+
+        zero = FormalSum.zero()
+        assert twisted_rtimes(zero, self.anchor(), GroupMode.GU).is_zero
+        assert twisted_rtimes(self.unit3(), zero, GroupMode.U).is_zero
 
     def test_first_slot_dualizes_and_twists(self):
         from jacquet import twisted_rtimes

@@ -254,3 +254,21 @@ class TestLeviAction:
         with pytest.raises(LeviActionError):
             # anchor slots not fixed
             levi_action(SignedPermutation((1, 3, 2)), (LeviBlock("g", 1),))
+
+    @pytest.mark.parametrize("w, blocks, message", [
+        (SignedPermutation.identity(2), (LeviBlock("g", 0),), "positive size"),
+        (SignedPermutation.identity(2), (LeviBlock("g", 2), LeviBlock("h", 1)),
+         "do not fit in rank 2"),
+        (SignedPermutation((1, 2), (1, -1)), (LeviBlock("g", 2),), "mixed signs"),
+        (SignedPermutation((1, 3, 2)), (LeviBlock("g", 2), LeviBlock("h", 1)),
+         "contiguous run"),
+    ], ids=["empty block", "too wide", "mixed signs", "not contiguous"])
+    def test_rejected_blocks(self, w, blocks, message):
+        with pytest.raises(LeviActionError, match=message):
+            levi_action(w, blocks)
+
+    @pytest.mark.parametrize("dual, twisted, text", [
+        (False, False, "g"), (True, False, "g^"), (False, True, "g*"), (True, True, "g^*"),
+    ])
+    def test_block_marks(self, dual, twisted, text):
+        assert str(LeviBlock("g", 1, dual, twisted)) == text
