@@ -322,12 +322,7 @@ def _cmd_enum_sp(args) -> int:
         "entries": [e.to_obj() for e in entries],
     }
     lines = [f"{len(entries)} data for sigma={args.sigma}, rhos={obj['rhos']}:"]
-    for e in entries:
-        flags = "ok" if e.constraints_ok else "CONSTRAINT-FAIL"
-        lines.append(
-            f"  {e.datum}  ->  {e.inducing}   [{flags}, leading mult "
-            f"{e.leading_multiplicity}]"
-        )
+    lines += [f"  {e}" for e in entries]
     _emit(args, obj, lines)
     return 0
 
@@ -342,10 +337,7 @@ def _cmd_check_lj(args) -> int:
         raise JacquetError(f"{args.datum}: {exc}") from None
     report = validate_lj(datum, strict=args.strict_jord)
     obj = {"command": "check-lj", "datum": datum_obj, **report.to_obj()}
-    lines = [f"datum {datum}:"]
-    for cond, ok, message in report.checks:
-        lines.append(f"  ({cond}) {'pass' if ok else 'FAIL'}: {message}")
-    _emit(args, obj, lines)
+    _emit(args, obj, [f"datum {datum}:", str(report)])
     return 0 if report.ok else 1
 
 

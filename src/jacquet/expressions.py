@@ -19,24 +19,25 @@ Errors carry line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ExpressionError, SegmentError, UnknownLabelError
 from .grothendieck import GLMonomial, GUClass, TensorTerm
-from .scalars import GUCuspidalLabel, HalfInt, TRIVIAL_TWIST
+from .scalars import GUCuspidalLabel, HalfInt, Keyed, TRIVIAL_TWIST
 from .segments import Segment
 
 __all__ = ["Expression", "parse_expression", "parse_tensor_target",
            "format_expression"]
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Keyed):
     """Parsed form of one expression: segment literals plus optional anchor."""
 
-    gl_part: tuple
-    gu_anchor: Optional[GUCuspidalLabel]
+    __slots__ = ("gl_part", "gu_anchor", "key")
+
+    def __init__(self, gl_part: tuple, gu_anchor: Optional[GUCuspidalLabel]):
+        self._fill(gl_part, gu_anchor, (tuple(s.key for s in gl_part),
+                                        gu_anchor.name if gu_anchor else None))
 
     def gu_class(self) -> GUClass:
         if self.gu_anchor is None:
@@ -45,6 +46,9 @@ class Expression:
 
     def gl_monomial(self) -> GLMonomial:
         return GLMonomial(self.gl_part)
+
+    def __str__(self):
+        return format_expression(self)
 
 
 _PUNCT = ("|x|", "(x)", "(", ")", ",", "@", "/", "-")

@@ -217,7 +217,7 @@ def term_kind(term: Monomial) -> tuple:
     raise KindMismatchError(f"not a monomial: {term!r}")
 
 
-class FormalSum:
+class FormalSum(Keyed):
     """Exact Z-linear combination of canonical monomials of one kind."""
 
     __slots__ = ("_terms",)
@@ -247,7 +247,7 @@ class FormalSum:
         cap = _max_terms()
         if len(data) > cap:
             raise _over_cap("formal sum", len(data), cap)
-        self._terms = data
+        self._fill(data)
 
     @classmethod
     def _from_terms(cls, data: dict) -> "FormalSum":
@@ -271,6 +271,12 @@ class FormalSum:
         for term in self._terms:
             return term_kind(term)
         return None
+
+    @property
+    def key(self) -> tuple:
+        """The kind and the set of (term key, multiplicity) pairs; derived
+        on demand, as sums are built far more often than compared."""
+        return (self.kind, frozenset((t.key, m) for t, m in self._terms.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -330,14 +336,6 @@ class FormalSum:
                 return gl_multiply(self, other)
             return tensor_multiply(self, other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __len__(self):
         return len(self._terms)

@@ -5,15 +5,16 @@ integer, so arithmetic and comparisons are exact and canonical forms of
 monomials are stable.  Cuspidal representations are opaque labels: the only
 facts the calculus ever consults are a label's name, its GL rank, whether it
 is conjugate self-dual, and (for the anchor labels of the bigger group) the
-declared reducibility points and twist-fixedness.  Labels, twist tags and
-the value types built on them derive from ``Keyed``, which makes them
-immutable once constructed.
+declared reducibility points and twist-fixedness.  Half-integers, labels,
+twist tags and every value type built on them derive from ``Keyed``, which
+makes them immutable once constructed.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import total_ordering
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import KindMismatchError, LabelConflictError, UnknownLabelError
@@ -31,14 +32,18 @@ __all__ = [
 
 
 class Keyed:
-    """An immutable value identified by one stored canonical ``key``, a
-    tuple of str/int.
+    """An immutable value identified by one stored canonical ``key``.
 
-    Equality, hashing and canonical output order all use ``key``.  A
+    A key holds only strs, ints, bools, ``None`` and tuples of those: a
+    value that holds another value puts that value's key or name in its
+    own.  Equality, hashing and canonical output order all use ``key``.  A
     subclass declares ``__slots__``, ``key`` among them, and its
     ``__init__`` stores every slot once through ``_fill``; no attribute
-    can be assigned or deleted after that, and copy and pickle carry the
-    slots through ``__getstate__``/``__setstate__``.
+    can be assigned or deleted after that, and copy and pickle (every
+    protocol) carry the slots through ``__getstate__``/``__setstate__``.
+    Two subclasses differ: ``HalfInt`` compares by its one slot ``twice``
+    and also equals ints, and ``FormalSum`` derives its key only when
+    compared, with the terms in a frozenset.
     """
 
     __slots__ = ()
@@ -73,34 +78,32 @@ class Keyed:
 
 
 @total_ordering
-class HalfInt:
+class HalfInt(Keyed):
     """An exact half-integer, stored as twice its value.
 
     ``HalfInt(3)`` is the integer 3; use ``HalfInt.from_twice(1)`` or
     ``HalfInt("1/2")`` for one half.  Addition, subtraction, negation and
-    comparisons are exact and never round.  Equality with plain ints is
-    supported for convenience, but hashes are not aligned with int hashes,
-    so HalfInt and int must not be mixed as keys of one dict.
+    comparisons are exact and never round.  ``twice`` stands in for a
+    ``key``: equality, order and hashing go by it, and equality and order
+    also accept plain ints, so ``HalfInt(2) == 2``.  Hashes are not aligned
+    with int hashes, so HalfInt and int must not be mixed as keys of one
+    dict.
     """
 
     __slots__ = ("twice",)
 
     def __init__(self, value: "int | str | HalfInt" = 0):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        elif isinstance(value, int):
-            self.twice = 2 * value
-        elif isinstance(value, str):
-            self.twice = _parse_twice(value)
-        else:
+        twice = _parse_twice(value) if isinstance(value, str) else _twice(value)
+        if twice is None:
             raise TypeError(f"cannot build a HalfInt from {value!r}")
+        self._fill(twice)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
         if not isinstance(twice, int):
             raise TypeError("from_twice expects an int")
-        out = cls.__new__(cls)
-        out.twice = twice
+        out = object.__new__(cls)
+        object.__setattr__(out, "twice", twice)
         return out
 
     def is_integer(self) -> bool:
@@ -111,24 +114,24 @@ class HalfInt:
         return (self.twice + 1) // 2
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = _twice(other)
         if o is None:
             return NotImplemented
-        return HalfInt.from_twice(self.twice + o.twice)
+        return HalfInt.from_twice(self.twice + o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = _twice(other)
         if o is None:
             return NotImplemented
-        return HalfInt.from_twice(self.twice - o.twice)
+        return HalfInt.from_twice(self.twice - o)
 
     def __rsub__(self, other):
-        o = _coerce(other)
+        o = _twice(other)
         if o is None:
             return NotImplemented
-        return HalfInt.from_twice(o.twice - self.twice)
+        return HalfInt.from_twice(o - self.twice)
 
     def __neg__(self):
         return HalfInt.from_twice(-self.twice)
@@ -141,16 +144,16 @@ class HalfInt:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = _coerce(other)
+        o = _twice(other)
         if o is None:
             return NotImplemented
-        return self.twice == o.twice
+        return self.twice == o
 
     def __lt__(self, other):
-        o = _coerce(other)
+        o = _twice(other)
         if o is None:
             return NotImplemented
-        return self.twice < o.twice
+        return self.twice < o
 
     def __hash__(self):
         return hash(self.twice)
@@ -167,11 +170,12 @@ class HalfInt:
         return f"HalfInt({str(self)!r})"
 
 
-def _coerce(x) -> "HalfInt | None":
+def _twice(x) -> "int | None":
+    """Twice the value of a HalfInt or an int; None for anything else."""
     if isinstance(x, HalfInt):
-        return x
+        return x.twice
     if isinstance(x, int):
-        return HalfInt(x)
+        return 2 * x
     return None
 
 
@@ -241,12 +245,12 @@ class CuspidalGLLabel(Keyed):
         return f"CuspidalGLLabel({self.name!r}, dim={self.dim})"
 
 
-def _check_gl_labels(anchor: str, field: str, labels) -> None:
-    for rho in labels:
-        if not isinstance(rho, CuspidalGLLabel):
-            raise KindMismatchError(
-                f"label {anchor!r}: {field} needs CuspidalGLLabels, got {rho!r}"
-            )
+def _check_kind(where: str, kind: type, values) -> None:
+    """Raise ``KindMismatchError`` naming ``where`` unless every one of
+    ``values`` is a ``kind``."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise KindMismatchError(f"{where} needs {kind.__name__}s, got {value!r}")
 
 
 class GUCuspidalLabel(Keyed):
@@ -254,16 +258,17 @@ class GUCuspidalLabel(Keyed):
 
     ``reducibility`` declares, per GL label, the non-negative half-integral
     point where the corresponding one-segment induction reduces; these are
-    input data, never computed.  ``twist_fixed`` lists the GL labels whose
-    central-character twist is declared to fix this anchor, which lets the
-    engine erase the corresponding twist tags at canonicalization.
+    input data, never computed, and read through a read-only mapping.
+    ``twist_fixed`` lists the GL labels whose central-character twist is
+    declared to fix this anchor, which lets the engine erase the
+    corresponding twist tags at canonicalization.
     A rank that is not an int >= 0, or a negative point, raises
     ``ValueError``; a GL entry that is not a ``CuspidalGLLabel`` raises
     ``KindMismatchError``.  Equality and hashing go by name, as for
     ``CuspidalGLLabel``.
     """
 
-    __slots__ = ("name", "rank", "reducibility", "twist_fixed", "key")
+    __slots__ = ("name", "rank", "_reducibility", "twist_fixed", "key")
 
     def __init__(self, name: str, rank: int = 0,
                  reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
@@ -272,8 +277,8 @@ class GUCuspidalLabel(Keyed):
             raise ValueError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
         red = dict(reducibility or {})
         fixed = frozenset(twist_fixed)
-        _check_gl_labels(name, "reducibility", red)
-        _check_gl_labels(name, "twist_fixed", fixed)
+        _check_kind(f"label {name!r}: reducibility", CuspidalGLLabel, red)
+        _check_kind(f"label {name!r}: twist_fixed", CuspidalGLLabel, fixed)
         for rho, val in red.items():
             red[rho] = v = HalfInt(val)
             if v < 0:
@@ -281,6 +286,10 @@ class GUCuspidalLabel(Keyed):
                     f"label {name!r}: reducibility at {rho.name!r} must be >= 0"
                 )
         self._fill(name, rank, red, fixed, (name,))
+
+    @property
+    def reducibility(self) -> Mapping:
+        return MappingProxyType(self._reducibility)
 
     @property
     def attributes(self) -> tuple:
@@ -304,8 +313,9 @@ class TwistTag(Keyed):
     def __init__(self, entries: tuple = ()):
         merged: dict = {}
         for name, exp, nu in entries:
-            old_exp, old_nu = merged.get(name, (0, HalfInt(0)))
-            merged[name] = (old_exp + int(exp), old_nu + HalfInt(nu))
+            nu = nu if isinstance(nu, HalfInt) else HalfInt(nu)
+            old_exp, old_nu = merged.get(name, (0, 0))
+            merged[name] = (old_exp + int(exp), old_nu + nu)
         out = tuple(
             (name, exp, nu)
             for name, (exp, nu) in sorted(merged.items())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -32,7 +31,9 @@ from .scalars import (
     CuspidalGLLabel,
     GUCuspidalLabel,
     HalfInt,
+    Keyed,
     TRIVIAL_TWIST,
+    _check_kind,
 )
 from .segments import Segment
 from .structure import GroupMode, jacquet_by_shape
@@ -55,18 +56,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class JordSequence:
+class JordSequence(Keyed):
     """One label's exponent sequence.  Construction is permissive; use
-    ``validate_lj`` to check the classification conditions."""
+    ``validate_lj`` to check the classification conditions.  A ``rho`` that
+    is not a ``CuspidalGLLabel`` raises ``KindMismatchError``."""
 
-    rho: CuspidalGLLabel
-    a: HalfInt
-    b: tuple
+    __slots__ = ("rho", "a", "b", "key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", HalfInt(self.a))
-        object.__setattr__(self, "b", tuple(HalfInt(x) for x in self.b))
+    def __init__(self, rho: CuspidalGLLabel, a: "HalfInt | int | str", b):
+        _check_kind("a JordSequence", CuspidalGLLabel, (rho,))
+        a, b = HalfInt(a), tuple(map(HalfInt, b))
+        self._fill(rho, a, b, (rho.name, a.twice, tuple(x.twice for x in b)))
 
     @property
     def k(self) -> int:
@@ -98,8 +98,7 @@ class JordSequence:
         return f"{self.rho.name}: a={self.a}, b=({seq})"
 
 
-@dataclass(frozen=True, slots=True)
-class LJDatum:
+class LJDatum(Keyed):
     """A full classification datum: one sequence per label, over one anchor.
 
     Sequences that are fully empty-encoded are dropped at construction: a
@@ -107,15 +106,18 @@ class LJDatum:
     the inducing class, and the classification identifies such a sequence
     with the label being absent (otherwise the parametrization could not be
     injective: all-empty data over different labels induce the same bare
-    anchor).
+    anchor).  Entries that are not ``JordSequence``s, or an anchor that is
+    not a ``GUCuspidalLabel``, raise ``KindMismatchError``.
     """
 
-    jord: tuple
-    sigma: GUCuspidalLabel
+    __slots__ = ("jord", "sigma", "key")
 
-    def __post_init__(self):
-        kept = tuple(j for j in self.jord if not j.is_fully_empty())
-        object.__setattr__(self, "jord", kept)
+    def __init__(self, jord, sigma: GUCuspidalLabel):
+        jord = tuple(jord)
+        _check_kind("an LJDatum", JordSequence, jord)
+        _check_kind("an LJDatum", GUCuspidalLabel, (sigma,))
+        jord = tuple(j for j in jord if not j.is_fully_empty())
+        self._fill(jord, sigma, (tuple(j.key for j in jord), sigma.name))
 
     def __str__(self):
         if not self.jord:
@@ -124,11 +126,13 @@ class LJDatum:
         return f"[{body}] |x| {self.sigma.name}"
 
 
-@dataclass(frozen=True)
-class LJValidation:
+class LJValidation(Keyed):
     """Per-condition outcome of ``validate_lj``."""
 
-    checks: tuple  # of (condition, ok, message)
+    __slots__ = ("checks", "key")
+
+    def __init__(self, checks: tuple):  # of (condition, ok, message)
+        self._fill(checks, checks)
 
     @property
     def ok(self) -> bool:
@@ -148,6 +152,11 @@ class LJValidation:
                 {"condition": c, "ok": ok, "message": m} for c, ok, m in self.checks
             ],
         }
+
+    def __str__(self):
+        """One line per condition, as ``check-lj`` prints them."""
+        return "\n".join(f"  ({c}) {'pass' if ok else 'FAIL'}: {m}"
+                         for c, ok, m in self.checks)
 
 
 def _grid(a: HalfInt, max_b: HalfInt) -> list:
@@ -283,29 +292,36 @@ def check_inducing_constraints(segments: Sequence[Segment], a: "HalfInt | int") 
     return all(x < y for x, y in zip(ends, ends[1:]))
 
 
-@dataclass(frozen=True)
-class SPConditions:
+class SPConditions(Keyed):
     """Necessary conditions for a cuspidal pair to carry strongly positive data."""
 
-    rho: CuspidalGLLabel
-    sigma: GUCuspidalLabel
-    conj_self_dual: bool
-    twist_fixed: bool
-    reducibility: "HalfInt | None"
+    __slots__ = ("rho", "sigma", "key")
+
+    def __init__(self, rho: CuspidalGLLabel, sigma: GUCuspidalLabel):
+        self._fill(rho, sigma, (rho.name, sigma.name))
+
+    @property
+    def conj_self_dual(self) -> bool:
+        return self.rho.conj_self_dual
+
+    @property
+    def twist_fixed(self) -> bool:
+        return self.rho in self.sigma.twist_fixed
+
+    @property
+    def reducibility(self) -> "HalfInt | None":
+        return self.sigma.reducibility.get(self.rho)
 
     @property
     def sp_possible(self) -> bool:
         return self.conj_self_dual and self.twist_fixed
 
+    def __str__(self):
+        return f"conj_self_dual={self.conj_self_dual}, twist_fixed={self.twist_fixed}"
+
 
 def sp_necessary_conditions(rho: CuspidalGLLabel, sigma: GUCuspidalLabel) -> SPConditions:
-    return SPConditions(
-        rho,
-        sigma,
-        conj_self_dual=rho.conj_self_dual,
-        twist_fixed=rho in sigma.twist_fixed,
-        reducibility=sigma.reducibility.get(rho),
-    )
+    return SPConditions(rho, sigma)
 
 
 def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
@@ -327,14 +343,15 @@ def _leading_multiplicity(rep: GUClass, mode: GroupMode) -> int:
     return jacquet_by_shape(rep, shape, mode).coefficient(target)
 
 
-@dataclass(frozen=True)
-class SPEntry:
+class SPEntry(Keyed):
     """One enumerated datum with its inducing class and diagnostics."""
 
-    datum: LJDatum
-    inducing: GUClass
-    constraints_ok: bool
-    leading_multiplicity: int
+    __slots__ = ("datum", "inducing", "constraints_ok", "leading_multiplicity", "key")
+
+    def __init__(self, datum: LJDatum, inducing: GUClass, constraints_ok: bool,
+                 leading_multiplicity: int):
+        self._fill(datum, inducing, constraints_ok, leading_multiplicity,
+                   (datum.key, inducing.key, constraints_ok, leading_multiplicity))
 
     def to_obj(self) -> dict:
         return {
@@ -346,11 +363,20 @@ class SPEntry:
             },
         }
 
+    def __str__(self):
+        """The datum's line in ``enum-sp`` output."""
+        flags = "ok" if self.constraints_ok else "CONSTRAINT-FAIL"
+        return (f"{self.datum}  ->  {self.inducing}   [{flags}, leading mult "
+                f"{self.leading_multiplicity}]")
+
 
 def _per_label_bounds(labels: Sequence[CuspidalGLLabel], max_b) -> list:
     if isinstance(max_b, (HalfInt, int, str)):
         return [HalfInt(max_b)] * len(labels)
-    bounds = [HalfInt(x) for x in max_b]
+    try:
+        bounds = [HalfInt(x) for x in max_b]
+    except TypeError:
+        raise InvalidDatumError(f"max_b must be one bound or one per label, got {max_b!r}") from None
     if len(bounds) != len(labels):
         raise InvalidDatumError("one max_b bound per label is required")
     return bounds
@@ -364,8 +390,13 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     ``max_b`` may be a single bound (a ``HalfInt``, an int or a literal
     such as ``"5/2"``) or one bound per label.  Labels with
     reducibility 0 contribute nothing.  Output order is the lexicographic
-    product order and is deterministic.
+    product order and is deterministic.  A label that is not a
+    ``CuspidalGLLabel``, or an anchor that is not a ``GUCuspidalLabel``,
+    raises ``KindMismatchError``; a bound of another type raises
+    ``InvalidDatumError``.
     """
+    _check_kind("enumerate_sp", CuspidalGLLabel, labels)
+    _check_kind("enumerate_sp", GUCuspidalLabel, (sigma,))
     mode = GroupMode(mode)
     bounds = _per_label_bounds(labels, max_b)
     per_label = []
@@ -378,10 +409,7 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
         conditions = sp_necessary_conditions(rho, sigma)
         if not conditions.sp_possible:
             raise InvalidDatumError(
-                f"label {rho.name!r} fails the necessary conditions "
-                f"(conj_self_dual={conditions.conj_self_dual}, "
-                f"twist_fixed={conditions.twist_fixed})"
-            )
+                f"label {rho.name!r} fails the necessary conditions ({conditions})")
         per_label.append(enumerate_jord(rho, a, bound, strict))
     entries = []
     for combo in itertools.product(*per_label):

@@ -23,7 +23,6 @@ reflections of I and right multiplication by those of J.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     LeviActionError,
     NonBijectionError,
 )
+from .scalars import Keyed
 from .structure import GroupMode
 
 __all__ = [
@@ -52,10 +52,10 @@ __all__ = [
 ]
 
 
-class SignedPermutation:
-    """An element of S_n x {+-1}^n, stored as its window."""
+class SignedPermutation(Keyed):
+    """An element of S_n x {+-1}^n, stored as its window (also its key)."""
 
-    __slots__ = ("window",)
+    __slots__ = ("window", "key")
 
     def __init__(self, perm, signs=None):
         perm = tuple(int(p) for p in perm)
@@ -67,13 +67,15 @@ class SignedPermutation:
         signs = tuple(int(s) for s in signs)
         if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise InvalidParamsError(f"invalid sign vector {signs}")
-        self.window = tuple(s * p for s, p in zip(signs, perm))
+        window = tuple(s * p for s, p in zip(signs, perm))
+        self._fill(window, window)
 
     @classmethod
     def _trusted(cls, window: tuple) -> "SignedPermutation":
         """Wrap a window known to be a signed bijection, unchecked."""
         w = object.__new__(cls)
-        w.window = window
+        object.__setattr__(w, "window", window)
+        object.__setattr__(w, "key", window)
         return w
 
     @classmethod
@@ -136,14 +138,6 @@ class SignedPermutation:
             if len(cyc) > 1:
                 parts.append("(" + " ".join(map(str, cyc)) + ")")
         return "".join(parts) if parts else "id"
-
-    def __eq__(self, other):
-        if isinstance(other, SignedPermutation):
-            return self.window == other.window
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.window)
 
     def __repr__(self):
         return f"SignedPermutation[{' '.join(map(str, self.window))}]"
@@ -235,19 +229,17 @@ def all_elements(n: int):
             yield SignedPermutation(perm, signs)
 
 
-@dataclass(frozen=True, slots=True)
-class GeomParams:
-    """Admissible (d, k) for a pair of maximal parabolic indices (i1, i2)."""
+class GeomParams(Keyed):
+    """Admissible (d, k) for a pair of maximal parabolic indices (i1, i2).
+    A parameter that is not an int, or out of range, raises
+    ``InvalidParamsError``."""
 
-    n: int
-    i1: int
-    i2: int
-    d: int
-    k: int
+    __slots__ = ("n", "i1", "i2", "d", "k", "key")
 
-    def __post_init__(self):
-        _check_indices(self.n, self.i1, self.i2)
-        if self.k not in _k_range(self.n, self.i1, self.i2, self.d):
+    def __init__(self, n: int, i1: int, i2: int, d: int, k: int):
+        self._fill(n, i1, i2, d, k, (n, i1, i2, d, k))
+        _check_indices(n, i1, i2)
+        if type(d) is not int or type(k) is not int or k not in _k_range(n, i1, i2, d):
             raise InvalidParamsError(f"(d, k) out of range in {self}")
 
     @property
@@ -255,6 +247,9 @@ class GeomParams:
         """Sizes (k, i2-d-k, d, i1-d-k, n-i1-i2+d+k) of the source blocks."""
         n, i1, i2, d, k = self.n, self.i1, self.i2, self.d, self.k
         return (k, i2 - d - k, d, i1 - d - k, n - i1 - i2 + d + k)
+
+    def __repr__(self):
+        return "GeomParams(n={!r}, i1={!r}, i2={!r}, d={!r}, k={!r})".format(*self.key)
 
 
 def p_rep(params: GeomParams) -> SignedPermutation:
@@ -293,6 +288,9 @@ def q_rep(params: GeomParams) -> SignedPermutation:
 
 
 def _check_indices(n: int, i1: int, i2: int) -> None:
+    if not all(type(x) is int for x in (n, i1, i2)):
+        raise InvalidParamsError(f"n, i1 and i2 must be ints, got n={n!r}, i1={i1!r}, "
+                                 f"i2={i2!r}")
     if not (1 <= i1 <= n and 1 <= i2 <= n):
         raise InvalidParamsError(f"need 1 <= i1, i2 <= n, got n={n}, i1={i1}, i2={i2}")
 
@@ -349,14 +347,13 @@ def brute_force_coset_reps(n: int, i1: int, i2: int) -> frozenset:
     return frozenset(reps)
 
 
-@dataclass(frozen=True, slots=True)
-class LeviBlock:
+class LeviBlock(Keyed):
     """One GL block of a Levi tuple, with dual/twist marks."""
 
-    label: str
-    size: int
-    dual: bool = False
-    twisted: bool = False
+    __slots__ = ("label", "size", "dual", "twisted", "key")
+
+    def __init__(self, label: str, size: int, dual: bool = False, twisted: bool = False):
+        self._fill(label, size, dual, twisted, (label, size, dual, twisted))
 
     def flipped(self, with_twist: bool) -> "LeviBlock":
         return LeviBlock(

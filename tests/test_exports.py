@@ -1,7 +1,12 @@
-"""Export lists: every name a module lists in ``__all__`` exists."""
+"""Export lists and import cost: every name a module lists in ``__all__``
+exists, and the command-line module loads no code generators."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +20,19 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # pytest itself loads both modules, so only a fresh interpreter can
+    # show what ``import jacquet.cli`` costs; -S keeps site hooks out.
+    src = str(Path(jacquet.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, jacquet.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

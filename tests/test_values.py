@@ -1,4 +1,4 @@
-"""The seven value types: constructor checks, immutability, copy and pickle."""
+"""The value types: constructor checks, immutability, copy and pickle."""
 
 import copy
 import pickle
@@ -7,15 +7,28 @@ import pytest
 
 from jacquet import (
     CuspidalGLLabel,
+    Expression,
+    GeomParams,
     GLMonomial,
     GUClass,
     GUCuspidalLabel,
+    HalfInt,
+    InvalidDatumError,
+    InvalidParamsError,
+    JordSequence,
     KindMismatchError,
     LabelRegistry,
+    LeviBlock,
+    LJDatum,
     Segment,
+    SignedPermutation,
     TensorTerm,
     TwistTag,
+    enumerate_geom_params,
+    enumerate_sp,
     mu_star,
+    sp_necessary_conditions,
+    validate_lj,
 )
 from helpers import h, seg
 
@@ -26,6 +39,7 @@ TWIST = TwistTag.omega(CHI, h(3))
 S1 = seg(RHO, 0, 2)
 S2 = seg(CHI, h(1), h(3))
 G = GUClass([S2, S1], SIGMA, TWIST)
+JORD = JordSequence(RHO, 1, (h(1), 2))
 
 
 # Bad constructor input: what it builds, the error and a pattern the
@@ -53,6 +67,26 @@ BAD_INPUTS = {
                            KindMismatchError, "TwistTag"),
     "segment str label": (lambda: Segment("rho", 0, 1),
                           KindMismatchError, "CuspidalGLLabel"),
+    "jord str label": (lambda: JordSequence("rho", 1, (2,)),
+                       KindMismatchError, "CuspidalGLLabel"),
+    "datum str anchor": (lambda: LJDatum((JORD,), "sigma"),
+                         KindMismatchError, "GUCuspidalLabel"),
+    "datum str sequence": (lambda: LJDatum(("rho",), SIGMA),
+                           KindMismatchError, "JordSequence"),
+    "enumerate_sp str label": (lambda: enumerate_sp(["rho"], SIGMA, 2),
+                               KindMismatchError, "CuspidalGLLabel"),
+    "enumerate_sp str anchor": (lambda: enumerate_sp([RHO], "sigma", 2),
+                                KindMismatchError, "GUCuspidalLabel"),
+    "enumerate_sp float bound": (lambda: enumerate_sp([RHO], SIGMA, 1.5),
+                                 InvalidDatumError, "1.5"),
+    "enumerate_sp float bounds": (lambda: enumerate_sp([RHO], SIGMA, [1.5]),
+                                  InvalidDatumError, "1.5"),
+    "geom params str index": (lambda: GeomParams(3, "1", 2, 0, 0),
+                              InvalidParamsError, "i1='1'"),
+    "geom params str d": (lambda: GeomParams(3, 1, 2, "0", 0),
+                          InvalidParamsError, "d='0'"),
+    "enumerate_geom_params str index": (lambda: enumerate_geom_params(3, "1", 2),
+                                        InvalidParamsError, "i1='1'"),
 }
 
 
@@ -65,6 +99,7 @@ def test_constructors_check_their_inputs(case):
 
 # Each value type with the attributes it exposes.
 VALUES = {
+    "half int": (h(3), ("twice",)),
     "gl label": (CHI, ("name", "dim", "conj_self_dual", "key")),
     "gu label": (SIGMA, ("name", "rank", "reducibility", "twist_fixed", "key")),
     "twist": (TWIST, ("entries", "key")),
@@ -72,10 +107,21 @@ VALUES = {
     "gl monomial": (GLMonomial([S2, S1]), ("segments", "key")),
     "gu class": (G, ("segments", "sigma", "twist", "key")),
     "tensor term": (TensorTerm([GLMonomial([S1]), G]), ("factors", "key")),
+    "signed permutation": (SignedPermutation((2, 1, 3), (1, -1, 1)), ("window", "key")),
+    "geom params": (GeomParams(4, 3, 2, 1, 1), ("n", "i1", "i2", "d", "k", "key")),
+    "levi block": (LeviBlock("g", 2, True), ("label", "size", "dual", "twisted", "key")),
+    "jord sequence": (JORD, ("rho", "a", "b", "key")),
+    "lj datum": (LJDatum((JORD,), SIGMA), ("jord", "sigma", "key")),
+    "lj validation": (validate_lj(LJDatum((JORD,), SIGMA)), ("checks", "key")),
+    "sp conditions": (sp_necessary_conditions(RHO, SIGMA), ("rho", "sigma", "key")),
+    "sp entry": (enumerate_sp([RHO], SIGMA, 2)[1],
+                 ("datum", "inducing", "constraints_ok", "leading_multiplicity", "key")),
+    "expression": (Expression((S1, S2), SIGMA), ("gl_part", "gu_anchor", "key")),
 }
 
 ROUND_TRIPS = {
     "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "pickle protocol 0": lambda x: pickle.loads(pickle.dumps(x, 0)),
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
@@ -105,3 +151,14 @@ def test_mu_star_sum_round_trips(trip):
     back = ROUND_TRIPS[trip](total)
     assert len(back) == len(total) > 1
     assert back == total and str(back) == str(total)
+
+
+def test_reducibility_is_read_only():
+    registry = LabelRegistry()
+    rho = registry.declare_gl("rho")
+    sigma = registry.declare_gu("sigma", reducibility={rho: 2}, twist_fixed={rho})
+    with pytest.raises(TypeError):
+        sigma.reducibility[rho] = HalfInt(-3)
+    assert sigma.reducibility.get(rho) == 2 and dict(sigma.reducibility) == {rho: 2}
+    assert registry.declare_gu("sigma", reducibility={rho: 2}, twist_fixed={rho}) is sigma
+    assert len(enumerate_sp([rho], sigma, 3)) == 6
