@@ -64,6 +64,7 @@ from .weyl import (
 from .spclassifier import (
     JordSequence,
     LJDatum,
+    SPConditions,
     build_inducing_rep,
     check_inducing_constraints,
     enumerate_jord,
@@ -71,9 +72,8 @@ from .spclassifier import (
     leading_term_multiplicity,
     lj_from_obj,
     lj_to_obj,
-    sp_necessary_conditions,
     validate_lj,
 )
-from .expressions import Expression, format_expression, parse_expression
+from .expressions import Expression, parse_expression
 
 __version__ = "0.1.0"

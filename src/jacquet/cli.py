@@ -28,13 +28,7 @@ import re
 import sys
 
 from .errors import JacquetError, UnknownLabelError
-from .expressions import (
-    Expression,
-    format_expression,
-    parse_expression,
-    parse_tensor_target,
-    target_term,
-)
+from .expressions import Expression, parse_expression, parse_tensor_target, target_term
 from .grothendieck import FormalSum, sum_to_obj
 from .scalars import DUAL_MARKER, HalfInt, LabelRegistry
 from .spclassifier import enumerate_sp, lj_from_obj, validate_lj
@@ -94,7 +88,7 @@ def load_declarations(path: str) -> LabelRegistry:
             registry.declare_gl(
                 entry["name"], entry.get("dim", 1), entry.get("conj_self_dual", True)
             )
-        except (JacquetError, ValueError) as exc:
+        except JacquetError as exc:
             raise JacquetError(f"{where}: {exc}") from None
     for where, entry in _declared(path, data, "gu"):
         try:
@@ -106,7 +100,7 @@ def load_declarations(path: str) -> LabelRegistry:
             registry.declare_gu(
                 entry["name"], entry.get("rank", 0), reducibility, twist_fixed
             )
-        except (JacquetError, ValueError) as exc:
+        except JacquetError as exc:
             raise JacquetError(f"{where}: {exc}") from None
     return registry
 
@@ -185,7 +179,7 @@ def _sum_report(args, command: str, expr: Expression, result: FormalSum,
                 shape=None) -> None:
     """Print ``result`` in the format asked for, building only that form;
     a ``shape`` goes into the JSON and the header."""
-    text = format_expression(expr)
+    text = str(expr)
     group = getattr(args, "group", "GU")
     if _wants_json(args):
         obj = {"command": command, "group": group, "input": text}
@@ -248,7 +242,7 @@ def _cmd_mult(args) -> int:
     obj = {
         "command": "mult",
         "group": args.group,
-        "input": format_expression(expr),
+        "input": str(expr),
         "shape": list(shape),
         "target": str(term),
         "multiplicity": mult,

@@ -9,8 +9,10 @@ class SegmentError(JacquetError):
     """Invalid segment bounds (mixed parity, or b < a - 1)."""
 
 
-class KindMismatchError(JacquetError):
-    """Formal sums over different monomial kinds (or tensor arities) were combined."""
+class KindMismatchError(JacquetError, TypeError):
+    """An argument is not of the kind a public name takes, or formal sums
+    over different monomial kinds (or tensor arities) were combined.  It
+    is also a ``TypeError``, the builtin raised for such input."""
 
 
 class ShapeError(JacquetError):
@@ -29,8 +31,12 @@ class UnknownLabelError(JacquetError):
     """A label name does not resolve against the active declarations."""
 
 
-class InvalidParamsError(JacquetError):
-    """Geometric parameters (n, i1, i2, d, k) violate their admissibility constraints."""
+class InvalidParamsError(JacquetError, ValueError):
+    """A value of the right kind is out of range: a label's dim or rank,
+    ``conj_self_dual``, a reducibility point, a half-integer literal, or
+    geometric parameters (n, i1, i2, d, k) violating their admissibility
+    constraints.  It is also a ``ValueError``, the builtin raised for such
+    input."""
 
 
 class NonBijectionError(JacquetError):
@@ -69,3 +75,19 @@ class ExpressionError(JacquetError):
 
 class TwistFixednessWarning(UserWarning):
     """A label used in classification data has no declared twist-fixedness."""
+
+
+def _checked(where: str, kind, values) -> tuple:
+    """``values`` as a tuple.  Raises ``KindMismatchError`` naming
+    ``where`` when ``values`` is not iterable or an item is not a ``kind``
+    (a type or a tuple of types)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise KindMismatchError(f"{where} needs an iterable, got {values!r}") from None
+    for value in values:
+        if not isinstance(value, kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            names = " or ".join(k.__name__ for k in kinds)
+            raise KindMismatchError(f"{where} needs {names}, got {value!r}")
+    return values

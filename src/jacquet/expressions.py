@@ -19,15 +19,15 @@ Errors carry line and column.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
+from typing import Optional
 
-from .errors import ExpressionError, SegmentError, UnknownLabelError
+from .errors import ExpressionError, SegmentError, UnknownLabelError, _checked
 from .grothendieck import GLMonomial, GUClass, TensorTerm
 from .scalars import GUCuspidalLabel, HalfInt, Keyed, TRIVIAL_TWIST
 from .segments import Segment
 
-__all__ = ["Expression", "parse_expression", "parse_tensor_target",
-           "format_expression"]
+__all__ = ["Expression", "parse_expression", "parse_tensor_target"]
 
 
 class Expression(Keyed):
@@ -36,6 +36,8 @@ class Expression(Keyed):
     __slots__ = ("gl_part", "gu_anchor", "key")
 
     def __init__(self, gl_part: tuple, gu_anchor: Optional[GUCuspidalLabel]):
+        gl_part = _checked("an Expression", Segment, gl_part)
+        _checked("an Expression anchor", (GUCuspidalLabel, type(None)), (gu_anchor,))
         self._fill(gl_part, gu_anchor, (tuple(s.key for s in gl_part),
                                         gu_anchor.name if gu_anchor else None))
 
@@ -48,7 +50,10 @@ class Expression(Keyed):
         return GLMonomial(self.gl_part)
 
     def __str__(self):
-        return format_expression(self)
+        head = " x ".join(str(s) for s in self.gl_part) if self.gl_part else "1"
+        if self.gu_anchor is None:
+            return head
+        return f"{head} |x| {self.gu_anchor.name}"
 
 
 _PUNCT = ("|x|", "(x)", "(", ")", ",", "@", "/", "-")
@@ -102,10 +107,11 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, gl_resolver: Callable, gu_resolver: Callable):
+        _checked("an expression", str, (text,))
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.gl_resolver = gl_resolver
-        self.gu_resolver = gu_resolver
+        self.gl_resolver, self.gu_resolver = _checked(
+            "a label resolver", Callable, (gl_resolver, gu_resolver))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -234,10 +240,3 @@ def target_term(parts, anchor) -> TensorTerm:
         last = factors.pop()
         factors.append(GUClass(last.segments, anchor, TRIVIAL_TWIST))
     return TensorTerm(factors)
-
-
-def format_expression(expr: Expression) -> str:
-    head = " x ".join(str(s) for s in expr.gl_part) if expr.gl_part else "1"
-    if expr.gu_anchor is None:
-        return head
-    return f"{head} |x| {expr.gu_anchor.name}"

@@ -19,7 +19,7 @@ import os
 from operator import attrgetter
 from typing import Iterable, Union
 
-from .errors import JacquetError, KindMismatchError, TermLimitError
+from .errors import JacquetError, KindMismatchError, TermLimitError, _checked
 from .scalars import GUCuspidalLabel, Keyed, TwistTag, TRIVIAL_TWIST
 from .segments import Segment
 
@@ -59,7 +59,8 @@ def _over_cap(what: str, size: int, cap: int) -> TermLimitError:
 _by_key = attrgetter("key")
 
 
-def _canonical_segments(segments: Iterable[Segment]) -> tuple:
+def _canonical_segments(where: str, segments: Iterable[Segment]) -> tuple:
+    segments = _checked(where, Segment, segments)
     return tuple(sorted((s for s in segments if not s.is_empty), key=_by_key))
 
 
@@ -83,7 +84,7 @@ class GLMonomial(Keyed):
     __slots__ = ("segments", "key")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        segments = _canonical_segments(segments)
+        segments = _canonical_segments("a GLMonomial", segments)
         self._fill(segments, tuple(s.key for s in segments))
 
     @classmethod
@@ -131,13 +132,9 @@ class GUClass(Keyed):
 
     def __init__(self, segments: Iterable[Segment], sigma: GUCuspidalLabel,
                  twist: TwistTag = TRIVIAL_TWIST):
-        if not isinstance(sigma, GUCuspidalLabel):
-            raise KindMismatchError(
-                f"a GUClass needs a GUCuspidalLabel anchor, got {type(sigma).__name__}")
-        if not isinstance(twist, TwistTag):
-            raise KindMismatchError(
-                f"a GUClass needs a TwistTag, got {type(twist).__name__}")
-        segments = _canonical_segments(segments)
+        _checked("a GUClass anchor", GUCuspidalLabel, (sigma,))
+        _checked("a GUClass twist", TwistTag, (twist,))
+        segments = _canonical_segments("a GUClass", segments)
         twist = _absorb_fixed(sigma, twist)
         self._fill(segments, sigma, twist,
                    (tuple(s.key for s in segments), sigma.name, twist.key))
@@ -175,13 +172,9 @@ class TensorTerm(Keyed):
     __slots__ = ("factors", "key")
 
     def __init__(self, factors: Iterable):
-        factors = tuple(factors)
-        for i, f in enumerate(factors):
-            if isinstance(f, GUClass):
-                if i != len(factors) - 1:
-                    raise KindMismatchError("a GU factor may only sit in the last slot")
-            elif not isinstance(f, GLMonomial):
-                raise KindMismatchError(f"invalid tensor factor {f!r}")
+        factors = _checked("a TensorTerm", (GLMonomial, GUClass), factors)
+        if any(isinstance(f, GUClass) for f in factors[:-1]):
+            raise KindMismatchError("a GU factor may only sit in the last slot")
         self._fill(factors, tuple(f.key for f in factors))
 
     @classmethod
@@ -407,6 +400,7 @@ def _componentwise(tx: TensorTerm, ty: TensorTerm) -> TensorTerm:
 
 def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
     """Componentwise GL product of two tensor sums of equal arity."""
+    _checked("tensor_multiply", FormalSum, (x, y))
     if x.is_zero or y.is_zero:
         return FormalSum.zero()
     kx, ky = x.kind, y.kind
@@ -451,6 +445,7 @@ def factor_to_obj(f) -> dict:
 
 def sum_to_obj(s: FormalSum) -> list:
     """Deterministic list-of-terms form: [{"mult": m, "term": [factors]}]."""
+    _checked("sum_to_obj", FormalSum, (s,))
     fields: dict = {}  # segment key -> fields: a sum has few distinct segments
 
     def segment_obj(seg: Segment) -> dict:

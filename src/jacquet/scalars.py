@@ -17,7 +17,8 @@ from functools import total_ordering
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import KindMismatchError, LabelConflictError, UnknownLabelError
+from .errors import (InvalidParamsError, KindMismatchError, LabelConflictError,
+                     UnknownLabelError, _checked)
 
 __all__ = [
     "Keyed",
@@ -95,13 +96,12 @@ class HalfInt(Keyed):
     def __init__(self, value: "int | str | HalfInt" = 0):
         twice = _parse_twice(value) if isinstance(value, str) else _twice(value)
         if twice is None:
-            raise TypeError(f"cannot build a HalfInt from {value!r}")
+            raise KindMismatchError(f"cannot build a HalfInt from {value!r}")
         self._fill(twice)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
-        if not isinstance(twice, int):
-            raise TypeError("from_twice expects an int")
+        _checked("from_twice", int, (twice,))
         out = object.__new__(cls)
         object.__setattr__(out, "twice", twice)
         return out
@@ -188,12 +188,12 @@ def _parse_twice(text: str) -> int:
     if "/" in s:
         num, _, den = s.partition("/")
         if den.strip() != "2" or not num.strip().isdecimal():
-            raise ValueError(f"not a half-integer literal: {text!r}")
+            raise InvalidParamsError(f"not a half-integer literal: {text!r}")
         t = int(num)
     elif s.isdecimal():
         t = 2 * int(s)
     else:
-        raise ValueError(f"not a half-integer literal: {text!r}")
+        raise InvalidParamsError(f"not a half-integer literal: {text!r}")
     return -t if neg else t
 
 
@@ -206,9 +206,9 @@ class CuspidalGLLabel(Keyed):
     """Opaque label for an irreducible cuspidal representation of a GL group.
 
     ``dim`` must be an int >= 1 and ``conj_self_dual`` a bool, or
-    ``ValueError`` is raised.  Equality and hashing go by name (``key`` is
-    ``(name,)``); the registry is responsible for rejecting one name with
-    two different ``attributes``.  The conjugate-dual partner of a label
+    ``InvalidParamsError`` is raised.  Equality and hashing go by name
+    (``key`` is ``(name,)``); the registry is responsible for rejecting one
+    name with two different ``attributes``.  The conjugate-dual partner of a label
     that is not conjugate self-dual is named from the name alone: an even
     run of trailing ``~`` gains one and an odd run loses one, so ``chi``
     and ``chi~`` are each other's partners, as are ``chi~~`` and
@@ -219,9 +219,9 @@ class CuspidalGLLabel(Keyed):
 
     def __init__(self, name: str, dim: int = 1, conj_self_dual: bool = True):
         if type(dim) is not int or dim < 1:
-            raise ValueError(f"label {name!r}: dim must be an int >= 1, got {dim!r}")
+            raise InvalidParamsError(f"label {name!r}: dim must be an int >= 1, got {dim!r}")
         if type(conj_self_dual) is not bool:
-            raise ValueError(
+            raise InvalidParamsError(
                 f"label {name!r}: conj_self_dual must be a bool, got {conj_self_dual!r}"
             )
         self._fill(name, dim, conj_self_dual, (name,))
@@ -245,14 +245,6 @@ class CuspidalGLLabel(Keyed):
         return f"CuspidalGLLabel({self.name!r}, dim={self.dim})"
 
 
-def _check_kind(where: str, kind: type, values) -> None:
-    """Raise ``KindMismatchError`` naming ``where`` unless every one of
-    ``values`` is a ``kind``."""
-    for value in values:
-        if not isinstance(value, kind):
-            raise KindMismatchError(f"{where} needs {kind.__name__}s, got {value!r}")
-
-
 class GUCuspidalLabel(Keyed):
     """Opaque label for a cuspidal anchor representation of the bigger group.
 
@@ -263,9 +255,9 @@ class GUCuspidalLabel(Keyed):
     declared to fix this anchor, which lets the engine erase the
     corresponding twist tags at canonicalization.
     A rank that is not an int >= 0, or a negative point, raises
-    ``ValueError``; a GL entry that is not a ``CuspidalGLLabel`` raises
-    ``KindMismatchError``.  Equality and hashing go by name, as for
-    ``CuspidalGLLabel``.
+    ``InvalidParamsError``; a GL entry that is not a ``CuspidalGLLabel``,
+    or a ``twist_fixed`` that is not iterable, raises ``KindMismatchError``.
+    Equality and hashing go by name, as for ``CuspidalGLLabel``.
     """
 
     __slots__ = ("name", "rank", "_reducibility", "twist_fixed", "key")
@@ -274,17 +266,16 @@ class GUCuspidalLabel(Keyed):
                  reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
                  twist_fixed: Iterable = frozenset()):
         if type(rank) is not int or rank < 0:
-            raise ValueError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
+            raise InvalidParamsError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
         red = dict(reducibility or {})
-        fixed = frozenset(twist_fixed)
-        _check_kind(f"label {name!r}: reducibility", CuspidalGLLabel, red)
-        _check_kind(f"label {name!r}: twist_fixed", CuspidalGLLabel, fixed)
+        _checked(f"label {name!r}: reducibility", CuspidalGLLabel, red)
+        fixed = frozenset(_checked(f"label {name!r}: twist_fixed", CuspidalGLLabel,
+                                   twist_fixed))
         for rho, val in red.items():
             red[rho] = v = HalfInt(val)
             if v < 0:
-                raise ValueError(
-                    f"label {name!r}: reducibility at {rho.name!r} must be >= 0"
-                )
+                raise InvalidParamsError(
+                    f"label {name!r}: reducibility at {rho.name!r} must be >= 0")
         self._fill(name, rank, red, fixed, (name,))
 
     @property

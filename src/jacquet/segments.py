@@ -10,7 +10,7 @@ implemented literally with no special cases.  A ``Segment`` is a slotted
 
 from __future__ import annotations
 
-from .errors import KindMismatchError, SegmentError
+from .errors import SegmentError, _checked
 from .scalars import CuspidalGLLabel, HalfInt, Keyed
 
 __all__ = ["Segment"]
@@ -23,10 +23,7 @@ class Segment(Keyed):
     __slots__ = ("rho", "a", "b", "key", "text")
 
     def __init__(self, rho: CuspidalGLLabel, a: HalfInt, b: HalfInt):
-        if not isinstance(rho, CuspidalGLLabel):
-            raise KindMismatchError(
-                f"a segment needs a CuspidalGLLabel, got {type(rho).__name__}"
-            )
+        _checked("a segment", CuspidalGLLabel, (rho,))
         a = a if isinstance(a, HalfInt) else HalfInt(a)
         b = b if isinstance(b, HalfInt) else HalfInt(b)
         diff = b.twice - a.twice

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from typing import Sequence
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     JacquetError,
     TwistFixednessWarning,
     UndeclaredReducibilityError,
+    _checked,
 )
 from .grothendieck import GLMonomial, GUClass, TensorTerm, factor_to_obj
 from .scalars import (
@@ -33,7 +35,6 @@ from .scalars import (
     HalfInt,
     Keyed,
     TRIVIAL_TWIST,
-    _check_kind,
 )
 from .segments import Segment
 from .structure import GroupMode, jacquet_by_shape
@@ -47,7 +48,6 @@ __all__ = [
     "enumerate_jord",
     "build_inducing_rep",
     "check_inducing_constraints",
-    "sp_necessary_conditions",
     "leading_term_multiplicity",
     "enumerate_sp",
     "validate_lj",
@@ -64,7 +64,8 @@ class JordSequence(Keyed):
     __slots__ = ("rho", "a", "b", "key")
 
     def __init__(self, rho: CuspidalGLLabel, a: "HalfInt | int | str", b):
-        _check_kind("a JordSequence", CuspidalGLLabel, (rho,))
+        _checked("a JordSequence", CuspidalGLLabel, (rho,))
+        b = _checked("a JordSequence", (HalfInt, int, str), b)
         a, b = HalfInt(a), tuple(map(HalfInt, b))
         self._fill(rho, a, b, (rho.name, a.twice, tuple(x.twice for x in b)))
 
@@ -113,9 +114,8 @@ class LJDatum(Keyed):
     __slots__ = ("jord", "sigma", "key")
 
     def __init__(self, jord, sigma: GUCuspidalLabel):
-        jord = tuple(jord)
-        _check_kind("an LJDatum", JordSequence, jord)
-        _check_kind("an LJDatum", GUCuspidalLabel, (sigma,))
+        jord = _checked("an LJDatum", JordSequence, jord)
+        _checked("an LJDatum", GUCuspidalLabel, (sigma,))
         jord = tuple(j for j in jord if not j.is_fully_empty())
         self._fill(jord, sigma, (tuple(j.key for j in jord), sigma.name))
 
@@ -193,6 +193,7 @@ def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
 
 def validate_lj(datum: LJDatum, strict: bool = False) -> LJValidation:
     """Check the classification conditions, reporting each clause."""
+    _checked("validate_lj", LJDatum, (datum,))
     checks = []
 
     names = [j.rho.name for j in datum.jord]
@@ -278,6 +279,7 @@ def check_inducing_constraints(segments: Sequence[Segment], a: "HalfInt | int") 
     a-k+1, ..., a; ends strictly increase; k <= ceil(a); all strongly
     positive.  ``segments`` must be sorted by start ascending."""
     a = HalfInt(a)
+    segments = _checked("check_inducing_constraints", Segment, segments)
     k = len(segments)
     if k == 0:
         return True
@@ -298,6 +300,8 @@ class SPConditions(Keyed):
     __slots__ = ("rho", "sigma", "key")
 
     def __init__(self, rho: CuspidalGLLabel, sigma: GUCuspidalLabel):
+        _checked("SPConditions", CuspidalGLLabel, (rho,))
+        _checked("SPConditions", GUCuspidalLabel, (sigma,))
         self._fill(rho, sigma, (rho.name, sigma.name))
 
     @property
@@ -318,10 +322,6 @@ class SPConditions(Keyed):
 
     def __str__(self):
         return f"conj_self_dual={self.conj_self_dual}, twist_fixed={self.twist_fixed}"
-
-
-def sp_necessary_conditions(rho: CuspidalGLLabel, sigma: GUCuspidalLabel) -> SPConditions:
-    return SPConditions(rho, sigma)
 
 
 def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
@@ -395,8 +395,8 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     raises ``KindMismatchError``; a bound of another type raises
     ``InvalidDatumError``.
     """
-    _check_kind("enumerate_sp", CuspidalGLLabel, labels)
-    _check_kind("enumerate_sp", GUCuspidalLabel, (sigma,))
+    labels = _checked("enumerate_sp", CuspidalGLLabel, labels)
+    _checked("enumerate_sp", GUCuspidalLabel, (sigma,))
     mode = GroupMode(mode)
     bounds = _per_label_bounds(labels, max_b)
     per_label = []
@@ -406,7 +406,7 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
             raise UndeclaredReducibilityError(
                 f"no reducibility declared for {rho.name!r} on {sigma.name!r}"
             )
-        conditions = sp_necessary_conditions(rho, sigma)
+        conditions = SPConditions(rho, sigma)
         if not conditions.sp_possible:
             raise InvalidDatumError(
                 f"label {rho.name!r} fails the necessary conditions ({conditions})")
@@ -427,6 +427,7 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
 # "b": ["q/2", ...]}]}
 
 def lj_to_obj(datum: LJDatum) -> dict:
+    _checked("lj_to_obj", LJDatum, (datum,))
     return {
         "sigma": datum.sigma.name,
         "jord": [
@@ -440,6 +441,7 @@ def lj_from_obj(obj: dict, gl_resolver, gu_resolver) -> LJDatum:
     """Rebuild a datum from its JSON form, resolving names via callables.
     Raises ``JacquetError`` naming the entry for anything not of that form;
     an exponent is a string or an int, never a bool or a float."""
+    _checked("lj_from_obj", Callable, (gl_resolver, gu_resolver))
     entries = obj.get("jord", []) if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not isinstance(obj.get("sigma"), str):
         raise JacquetError("the top level must be an object with a string 'sigma' "

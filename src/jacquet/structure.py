@@ -51,7 +51,7 @@ import enum
 from itertools import chain
 from typing import Sequence
 
-from .errors import JacquetError, KindMismatchError, SegmentError, ShapeError
+from .errors import JacquetError, KindMismatchError, SegmentError, ShapeError, _checked
 from .grothendieck import (
     FormalSum,
     GLMonomial,
@@ -310,6 +310,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
 def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
     """Pair a three-factor GL sum with a (GL, GU) sum, bilinearly."""
     mode = GroupMode(mode)
+    _checked("twisted_rtimes", FormalSum, (m, t))
     if m.is_zero or t.is_zero:
         return FormalSum.zero()
     if m.kind != ("tensor", 3, False) or t.kind != ("tensor", 2, True):
@@ -337,9 +338,7 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     ``nu`` of the first one folded, so an equal sum can print other ``nu``
     values in another order; ``mu_star`` folds in canonical order.
     """
-    if not isinstance(sigma, GUCuspidalLabel):
-        raise KindMismatchError(
-            f"mu_star_of_segments needs a GUCuspidalLabel anchor, got {type(sigma).__name__}")
+    segments = _checked("mu_star_of_segments", Segment, segments)
     mode = GroupMode(mode)
     start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     if not segments:
@@ -351,8 +350,7 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
 def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
     """The structure formula: a sum of (GL factor, anchor factor) terms
     whose ranks always add up to the rank of ``g``."""
-    if not isinstance(g, GUClass):
-        raise KindMismatchError(f"mu_star needs a GUClass, got {type(g).__name__}")
+    _checked("mu_star", GUClass, (g,))
     return mu_star_of_segments(g.segments, g.sigma, g.twist, mode)
 
 
@@ -463,9 +461,7 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     not a ``GUClass``.
     """
     mode = GroupMode(mode)
-    if not isinstance(g, GUClass):
-        raise KindMismatchError(
-            f"jacquet_by_shape needs a GUClass, got {type(g).__name__}")
+    _checked("jacquet_by_shape", GUClass, (g,))
     try:
         shape = tuple(shape)
     except TypeError:

@@ -31,6 +31,7 @@ from .errors import (
     JacquetError,
     LeviActionError,
     NonBijectionError,
+    _checked,
 )
 from .scalars import Keyed
 from .structure import GroupMode
@@ -58,13 +59,11 @@ class SignedPermutation(Keyed):
     __slots__ = ("window", "key")
 
     def __init__(self, perm, signs=None):
-        perm = tuple(int(p) for p in perm)
+        perm = _checked("a SignedPermutation", int, perm)
         n = len(perm)
         if sorted(perm) != list(range(1, n + 1)):
             raise InvalidParamsError(f"not a bijection of 1..{n}: {perm}")
-        if signs is None:
-            signs = (1,) * n
-        signs = tuple(int(s) for s in signs)
+        signs = (1,) * n if signs is None else _checked("a SignedPermutation", int, signs)
         if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise InvalidParamsError(f"invalid sign vector {signs}")
         window = tuple(s * p for s, p in zip(signs, perm))
@@ -258,6 +257,7 @@ def p_rep(params: GeomParams) -> SignedPermutation:
     The five branches must assemble a bijection; if they ever do not, the
     offending parameters are reported instead of being silently repaired.
     """
+    _checked("p_rep", GeomParams, (params,))
     n, i1, i2, d, k = params.n, params.i1, params.i2, params.d, params.k
     img = []
     for j in range(1, n + 1):
@@ -318,11 +318,11 @@ def brute_force_coset_reps(n: int, i1: int, i2: int) -> frozenset:
     i2-th.  Raises if the minimum within some coset is not unique, which
     would falsify minimality of the returned representatives.
     """
+    _check_indices(n, i1, i2)
     if n > _BRUTE_FORCE_MAX_N:
         raise BruteForceBoundError(
             f"exhaustive search over rank {n} exceeds the bound {_BRUTE_FORCE_MAX_N}"
         )
-    _check_indices(n, i1, i2)
     left = [simple_reflection(n, i) for i in range(1, n + 1) if i != i1]
     right = [simple_reflection(n, i) for i in range(1, n + 1) if i != i2]
     lengths = {w: length(w) for w in all_elements(n)}
@@ -384,11 +384,12 @@ def levi_action(w: SignedPermutation, blocks,
     ``mode`` is a ``GroupMode`` or its value ``"GU"``/``"U"``.
     Returns the blocks in target order.
     """
+    _checked("levi_action", SignedPermutation, (w,))
     try:
         gu_twist = GroupMode(mode) is GroupMode.GU
     except JacquetError as exc:
         raise LeviActionError(str(exc)) from None
-    blocks = tuple(blocks)
+    blocks = _checked("levi_action", LeviBlock, blocks)
     if any(b.size < 1 for b in blocks):
         raise LeviActionError("GL blocks must have positive size")
     m = sum(b.size for b in blocks)

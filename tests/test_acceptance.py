@@ -295,7 +295,7 @@ def test_criterion_9_round_trip_and_golden_stability(tmp_path):
     with criterion(9, "round-trip and byte-stable JSON"):
         from jacquet import LabelRegistry
         from jacquet.cli import make_resolvers
-        from jacquet.expressions import format_expression, parse_expression
+        from jacquet.expressions import parse_expression
 
         registry = LabelRegistry()
         registry.declare_gl("rho")
@@ -317,7 +317,7 @@ def test_criterion_9_round_trip_and_golden_stability(tmp_path):
             if rng.random() < 0.7:
                 text += " |x| sigma"
             expr = parse_expression(text, gl, gu)
-            assert parse_expression(format_expression(expr), gl, gu) == expr
+            assert parse_expression(str(expr), gl, gu) == expr
 
         decls = tmp_path / "decls.json"
         decls.write_text(json.dumps(DECLS))

@@ -12,7 +12,7 @@ import pytest
 import jacquet
 from jacquet import ExpressionError, JacquetError, LabelRegistry, UnknownLabelError
 from jacquet.cli import build_parser, main, make_resolvers
-from jacquet.expressions import format_expression, parse_expression, parse_tensor_target
+from jacquet.expressions import parse_expression, parse_tensor_target
 from helpers import h
 
 
@@ -180,7 +180,7 @@ class TestRoundTrip:
             if rng.random() < 0.7:
                 text += " |x| sigma"
             expr = parse_expression(text, gl, gu)
-            assert parse_expression(format_expression(expr), gl, gu) == expr
+            assert parse_expression(str(expr), gl, gu) == expr
 
 
 class TestCommands:

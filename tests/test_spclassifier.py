@@ -23,7 +23,7 @@ from jacquet import (
     leading_term_multiplicity,
     lj_from_obj,
     lj_to_obj,
-    sp_necessary_conditions,
+    SPConditions,
     validate_lj,
 )
 from jacquet import spclassifier
@@ -161,19 +161,19 @@ class TestInducingConstraints:
 
 class TestNecessaryConditions:
     def test_good_pair(self):
-        report = sp_necessary_conditions(RHO, SIGMA)
+        report = SPConditions(RHO, SIGMA)
         assert (report.conj_self_dual, report.twist_fixed) == (True, True)
         assert report.sp_possible
         assert report.reducibility == HalfInt(2)
 
     def test_not_self_dual(self):
-        report = sp_necessary_conditions(CHI, SIGMA)
+        report = SPConditions(CHI, SIGMA)
         assert not report.conj_self_dual
         assert not report.sp_possible
 
     def test_not_twist_fixed(self):
         sigma = GUCuspidalLabel("s2", reducibility={RHO: HalfInt(1)})
-        report = sp_necessary_conditions(RHO, sigma)
+        report = SPConditions(RHO, sigma)
         assert not report.twist_fixed
         assert not report.sp_possible
 

@@ -25,9 +25,10 @@ from jacquet import (
     TensorTerm,
     TwistTag,
     enumerate_geom_params,
+    enumerate_jord,
     enumerate_sp,
     mu_star,
-    sp_necessary_conditions,
+    SPConditions,
     validate_lj,
 )
 from helpers import h, seg
@@ -87,6 +88,11 @@ BAD_INPUTS = {
                           InvalidParamsError, "d='0'"),
     "enumerate_geom_params str index": (lambda: enumerate_geom_params(3, "1", 2),
                                         InvalidParamsError, "i1='1'"),
+    "half int float": (lambda: HalfInt(1.5), KindMismatchError, "1.5"),
+    "jord float exponent": (lambda: JordSequence(RHO, 1.5, ()), KindMismatchError, "1.5"),
+    "enumerate_jord float exponent": (lambda: enumerate_jord(RHO, 1.5, 3),
+                                      KindMismatchError, "1.5"),
+    "segment float bound": (lambda: Segment(RHO, 1.5, 2), KindMismatchError, "1.5"),
 }
 
 
@@ -113,7 +119,7 @@ VALUES = {
     "jord sequence": (JORD, ("rho", "a", "b", "key")),
     "lj datum": (LJDatum((JORD,), SIGMA), ("jord", "sigma", "key")),
     "lj validation": (validate_lj(LJDatum((JORD,), SIGMA)), ("checks", "key")),
-    "sp conditions": (sp_necessary_conditions(RHO, SIGMA), ("rho", "sigma", "key")),
+    "sp conditions": (SPConditions(RHO, SIGMA), ("rho", "sigma", "key")),
     "sp entry": (enumerate_sp([RHO], SIGMA, 2)[1],
                  ("datum", "inducing", "constraints_ok", "leading_multiplicity", "key")),
     "expression": (Expression((S1, S2), SIGMA), ("gl_part", "gu_anchor", "key")),

@@ -15,7 +15,7 @@ from jacquet import (
     p_rep,
     q_rep,
 )
-from jacquet.errors import BruteForceBoundError, LeviActionError
+from jacquet.errors import BruteForceBoundError, KindMismatchError, LeviActionError
 from jacquet.weyl import (
     all_elements,
     length,
@@ -198,6 +198,10 @@ class TestOracle:
         with pytest.raises(BruteForceBoundError):
             brute_force_coset_reps(5, 1, 1)
 
+    def test_non_int_rank(self):
+        with pytest.raises(InvalidParamsError, match="n, i1 and i2 must be ints"):
+            brute_force_coset_reps("3", 1, 2)
+
 
 class TestLeviAction:
     def test_identity(self):
@@ -265,6 +269,14 @@ class TestLeviAction:
     ], ids=["empty block", "too wide", "mixed signs", "not contiguous"])
     def test_rejected_blocks(self, w, blocks, message):
         with pytest.raises(LeviActionError, match=message):
+            levi_action(w, blocks)
+
+    @pytest.mark.parametrize("w, blocks, message", [
+        (SignedPermutation.identity(2), ("g",), "LeviBlock, got 'g'"),
+        ((1, 2), (LeviBlock("g", 1),), r"SignedPermutation, got \(1, 2\)"),
+    ], ids=["str block", "window as w"])
+    def test_rejected_kinds(self, w, blocks, message):
+        with pytest.raises(KindMismatchError, match=message):
             levi_action(w, blocks)
 
     @pytest.mark.parametrize("dual, twisted, text", [
