@@ -205,10 +205,11 @@ DUAL_MARKER = "~"
 class CuspidalGLLabel(Keyed):
     """Opaque label for an irreducible cuspidal representation of a GL group.
 
-    ``dim`` must be an int >= 1 and ``conj_self_dual`` a bool, or
-    ``InvalidParamsError`` is raised.  Equality and hashing go by name
-    (``key`` is ``(name,)``); the registry is responsible for rejecting one
-    name with two different ``attributes``.  The conjugate-dual partner of a label
+    A ``name`` that is not a str raises ``KindMismatchError``; ``dim`` must
+    be an int >= 1 and ``conj_self_dual`` a bool, or ``InvalidParamsError``
+    is raised.  Equality and hashing go by name (``key`` is ``(name,)``);
+    the registry is responsible for rejecting one name with two different
+    ``attributes``.  The conjugate-dual partner of a label
     that is not conjugate self-dual is named from the name alone: an even
     run of trailing ``~`` gains one and an odd run loses one, so ``chi``
     and ``chi~`` are each other's partners, as are ``chi~~`` and
@@ -218,6 +219,7 @@ class CuspidalGLLabel(Keyed):
     __slots__ = ("name", "dim", "conj_self_dual", "key")
 
     def __init__(self, name: str, dim: int = 1, conj_self_dual: bool = True):
+        _checked("a GL label name", str, (name,))
         if type(dim) is not int or dim < 1:
             raise InvalidParamsError(f"label {name!r}: dim must be an int >= 1, got {dim!r}")
         if type(conj_self_dual) is not bool:
@@ -255,8 +257,9 @@ class GUCuspidalLabel(Keyed):
     declared to fix this anchor, which lets the engine erase the
     corresponding twist tags at canonicalization.
     A rank that is not an int >= 0, or a negative point, raises
-    ``InvalidParamsError``; a GL entry that is not a ``CuspidalGLLabel``,
-    or a ``twist_fixed`` that is not iterable, raises ``KindMismatchError``.
+    ``InvalidParamsError``; a ``name`` that is not a str, a GL entry that
+    is not a ``CuspidalGLLabel``, or a ``twist_fixed`` that is not
+    iterable, raises ``KindMismatchError``.
     Equality and hashing go by name, as for ``CuspidalGLLabel``.
     """
 
@@ -265,6 +268,7 @@ class GUCuspidalLabel(Keyed):
     def __init__(self, name: str, rank: int = 0,
                  reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
                  twist_fixed: Iterable = frozenset()):
+        _checked("a GU label name", str, (name,))
         if type(rank) is not int or rank < 0:
             raise InvalidParamsError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
         red = dict(reducibility or {})
@@ -313,12 +317,6 @@ class TwistTag(Keyed):
             if exp != 0
         )
         self._fill(out, tuple((n, e) for n, e, _ in out))
-
-    @classmethod
-    def omega(cls, label: "CuspidalGLLabel | str", nu: HalfInt = HalfInt(0)) -> "TwistTag":
-        """The single twist contributed by one GL factor with the given label."""
-        name = label.name if isinstance(label, CuspidalGLLabel) else label
-        return cls(((name, 1, HalfInt(nu)),))
 
     @property
     def is_trivial(self) -> bool:
@@ -405,6 +403,7 @@ class LabelRegistry:
         """The GL label ``name``.  An undeclared name ending in ``~`` is the
         dual of the name without that marker, so the longest declared
         prefix decides, dualized once per marker after it."""
+        _checked("LabelRegistry.gl", str, (name,))
         base, duals = name, 0
         while base not in self._gl:
             if not base.endswith(DUAL_MARKER):
@@ -414,6 +413,7 @@ class LabelRegistry:
         return label.dual() if duals % 2 else label
 
     def gu(self, name: str) -> GUCuspidalLabel:
+        _checked("LabelRegistry.gu", str, (name,))
         try:
             return self._gu[name]
         except KeyError:

@@ -5,11 +5,13 @@ element is stored as its window (w(1), ..., w(n)), a signed bijection of
 {1..n} extended to negative letters by w(-j) = -w(j); its permutation and
 sign vector, indexed by source position, are read off the window.
 
-Lengths are computed on the restricted root system: positive roots are
-e_i - e_j and e_i + e_j - e_0 for i < j, and 2e_i - e_0, where e_0 is the
-similitude coordinate.  A sign flip at slot i acts as e_i -> e_0 - e_i and
-e_0 is otherwise inert, so the simple roots e_i - e_{i+1} and 2e_n - e_0
-behave exactly as in type C_n.
+The length of an element is the number of positive restricted roots it
+sends to negative ones.  The positive roots are e_i - e_j and
+e_i + e_j - e_0 for i < j, and 2e_i - e_0, where e_0 is the similitude
+coordinate.  A sign flip at slot i acts as e_i -> e_0 - e_i and e_0 is
+otherwise inert, so the simple roots e_i - e_{i+1} and 2e_n - e_0 behave
+exactly as in type C_n, and ``length`` counts those roots as inversions of
+the window (Bjorner-Brenti, GTM 231, section 8.1).
 
 ``p_rep`` / ``q_rep`` build the closed-form minimal double-coset
 representatives from their defining piecewise branches, and
@@ -23,7 +25,6 @@ reflections of I and right multiplication by those of J.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import (
     BruteForceBoundError,
@@ -45,8 +46,6 @@ __all__ = [
     "enumerate_geom_params",
     "brute_force_coset_reps",
     "levi_action",
-    "simple_roots",
-    "positive_roots",
     "length",
     "simple_reflection",
     "all_elements",
@@ -83,7 +82,7 @@ class SignedPermutation(Keyed):
 
     @classmethod
     def from_window(cls, window) -> "SignedPermutation":
-        window = tuple(window)
+        window = _checked("from_window", int, window)
         return cls([abs(v) for v in window], [1 if v > 0 else -1 for v in window])
 
     @property
@@ -142,71 +141,19 @@ class SignedPermutation(Keyed):
         return f"SignedPermutation[{' '.join(map(str, self.window))}]"
 
 
-@lru_cache(maxsize=None)
-def positive_roots(n: int) -> tuple:
-    """Roots as (e_0 coefficient, coefficient vector on e_1..e_n)."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = [0] * n
-            vec[i], vec[j] = 1, -1
-            roots.append((0, tuple(vec)))
-            vec = [0] * n
-            vec[i], vec[j] = 1, 1
-            roots.append((-1, tuple(vec)))
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 2
-        roots.append((-1, tuple(vec)))
-    return tuple(roots)
-
-
-def simple_roots(n: int) -> tuple:
-    """e_i - e_{i+1} for i < n, then 2e_n - e_0; none for n < 1."""
-    if n < 1:
-        return ()
-    out = []
-    for i in range(n - 1):
-        vec = [0] * n
-        vec[i], vec[i + 1] = 1, -1
-        out.append((0, tuple(vec)))
-    vec = [0] * n
-    vec[n - 1] = 2
-    out.append((-1, tuple(vec)))
-    return tuple(out)
-
-
-def root_image(w: SignedPermutation, root: tuple) -> tuple:
-    """Apply e_j -> e_{|w(j)|} (sign +) or e_0 - e_{|w(j)|} (sign -)."""
-    c0, coeffs = root
-    out = [0] * len(coeffs)
-    for idx, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        v = w.window[idx]
-        if v > 0:
-            out[v - 1] += c
-        else:
-            out[-v - 1] -= c
-            c0 += c
-    return (c0, tuple(out))
-
-
-def _root_is_negative(root: tuple) -> bool:
-    c0, coeffs = root
-    if c0 == 1:
-        return True
-    if c0 == -1:
-        return False
-    for c in coeffs:
-        if c != 0:
-            return c < 0
-    return False
-
-
 def length(w: SignedPermutation) -> int:
-    """Number of positive restricted roots sent to negative ones."""
-    return sum(1 for r in positive_roots(w.n) if _root_is_negative(root_image(w, r)))
+    """Number of positive restricted roots sent to negative ones, counted on
+    the window.  With 1-based slots, a negative letter w(i) adds n - i + 1,
+    and a pair i < j adds 1 when w(i) > 0 and |w(i)| > |w(j)|, or when
+    w(i) < 0 and |w(i)| < |w(j)|."""
+    total = 0
+    for i, v in enumerate(w.window):
+        later = [abs(u) for u in w.window[i + 1:]]
+        if v > 0:
+            total += sum(v > u for u in later)
+        else:
+            total += 1 + len(later) + sum(-v < u for u in later)
+    return total
 
 
 def simple_reflection(n: int, i: int) -> SignedPermutation:
@@ -218,14 +165,14 @@ def simple_reflection(n: int, i: int) -> SignedPermutation:
         window[i - 1], window[i] = i + 1, i
     else:
         window[-1] = -n
-    return SignedPermutation.from_window(window)
+    return SignedPermutation._trusted(tuple(window))
 
 
 def all_elements(n: int):
     """Iterate the full group, 2^n n! elements."""
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(perm, signs)
+            yield SignedPermutation._trusted(tuple(s * p for s, p in zip(signs, perm)))
 
 
 class GeomParams(Keyed):
@@ -276,15 +223,14 @@ def p_rep(params: GeomParams) -> SignedPermutation:
         raise NonBijectionError(
             f"piecewise branches do not assemble a bijection for {params}: {img}"
         )
-    return SignedPermutation(img)
+    return SignedPermutation._trusted(tuple(img))
 
 
 def q_rep(params: GeomParams) -> SignedPermutation:
     """p_rep with sign vector (+1^(i2-d), -1^d, +1^(n-i2))."""
-    p = p_rep(params)
-    n, i2, d = params.n, params.i2, params.d
-    signs = (1,) * (i2 - d) + (-1,) * d + (1,) * (n - i2)
-    return SignedPermutation(p.perm, signs)
+    window, i2, d = p_rep(params).window, params.i2, params.d
+    flipped = tuple(-v for v in window[i2 - d:i2])
+    return SignedPermutation._trusted(window[:i2 - d] + flipped + window[i2:])
 
 
 def _check_indices(n: int, i1: int, i2: int) -> None:

@@ -39,7 +39,7 @@ def test_monomial_canonicalization():
 
 
 def test_reprs():
-    tw = TwistTag.omega(RHO, h(4))
+    tw = TwistTag((("rho", 1, h(4)),))
     m = GLMonomial([S3, S1])
     g = GUClass([S1], SIGMA, tw)
     assert repr(S1) == "Segment(d(1,1@rho))"

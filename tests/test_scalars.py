@@ -9,6 +9,7 @@ from jacquet import (
     CuspidalGLLabel,
     GUCuspidalLabel,
     HalfInt,
+    KindMismatchError,
     LabelConflictError,
     LabelRegistry,
     TRIVIAL_TWIST,
@@ -96,17 +97,16 @@ twist_entries = st.lists(
 
 class TestTwistTag:
     def test_inverse_cancels(self):
-        t = TwistTag.omega("rho", h(2))
+        t = TwistTag((("rho", 1, h(2)),))
         assert t.merge(t.inverse()) == TRIVIAL_TWIST
 
     def test_identity(self):
-        t = TwistTag.omega("rho")
+        t = TwistTag((("rho", 1, 0),))
         assert TRIVIAL_TWIST.merge(t) == t
         assert t.merge(TRIVIAL_TWIST) == t
 
     def test_two_labels(self):
-        rho, rho2 = CuspidalGLLabel("rho"), CuspidalGLLabel("rho2")
-        merged = TwistTag.omega(rho).merge(TwistTag.omega(rho2))
+        merged = TwistTag((("rho", 1, 0),)).merge(TwistTag((("rho2", 1, 0),)))
         assert merged.key == (("rho", 1), ("rho2", 1))
 
     def test_zero_exponents_pruned(self):
@@ -213,6 +213,13 @@ class TestRegistry:
             reg.gl("nope")
         with pytest.raises(UnknownLabelError):
             reg.gu("nope")
+
+    def test_lookup_needs_a_name(self):
+        reg = LabelRegistry()
+        with pytest.raises(KindMismatchError, match="LabelRegistry.gl needs str, got None"):
+            reg.gl(None)
+        with pytest.raises(KindMismatchError, match=r"LabelRegistry.gu needs str, got \['x'\]"):
+            reg.gu(["x"])
 
     def test_gu_conflict(self):
         reg = LabelRegistry()

@@ -385,6 +385,7 @@ class TestFoldKernel:
         return [(sigma, TRIVIAL_TWIST), (sigma, start),
                 (fixed, TRIVIAL_TWIST), (fixed, start)]
 
+    @pytest.mark.slow
     def test_matches_reference_random(self):
         labels, sigma = make_mixed_labels()
         anchors = self.anchors(sigma)
@@ -398,6 +399,7 @@ class TestFoldKernel:
             want = reference_mu_star_of_segments(segments, anchor, twist, mode)
             assert _same_output(got, want), (segments, anchor, twist, mode)
 
+    @pytest.mark.slow
     def test_matches_reference_deep_folds(self):
         for k, length in ((3, 4), (4, 3)):
             segments = _alternating(k, length)
@@ -406,6 +408,7 @@ class TestFoldKernel:
                 want = reference_mu_star_of_segments(segments, SIGMA, mode=mode)
                 assert _same_output(got, want), (k, length, mode)
 
+    @pytest.mark.slow
     def test_merges_up_to_nu_match_reference_in_every_order(self):
         # Terms whose twists differ only in nu really merge here: 3,082
         # terms, 3,087 when nu is keyed too.  The reference keeps the first
@@ -625,6 +628,7 @@ class TestJacquetByShape:
             "jacquet_by_shape: partial module of 7001 terms exceeds "
             "JACQUET_MAX_TERMS (7000 terms)")
 
+    @pytest.mark.slow
     def test_matches_unpruned_oracle_random(self):
         labels, sigma = make_mixed_labels()
         rng = random.Random(31)
@@ -655,6 +659,7 @@ class TestJacquetByShape:
                                         unpruned_jacquet_by_shape(g, shape, mode)), \
                         (name, shape, mode)
 
+    @pytest.mark.slow
     def test_matches_unpruned_oracle_workload_patterns(self):
         tau = CuspidalGLLabel("tau", dim=2)
         self._check_patterns({

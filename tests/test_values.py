@@ -36,7 +36,7 @@ from helpers import h, seg
 RHO = CuspidalGLLabel("rho")
 CHI = CuspidalGLLabel("chi", dim=2, conj_self_dual=False)
 SIGMA = GUCuspidalLabel("sigma", rank=1, reducibility={RHO: h(2)}, twist_fixed={RHO})
-TWIST = TwistTag.omega(CHI, h(3))
+TWIST = TwistTag((("chi", 1, h(3)),))
 S1 = seg(RHO, 0, 2)
 S2 = seg(CHI, h(1), h(3))
 G = GUClass([S2, S1], SIGMA, TWIST)
@@ -51,8 +51,18 @@ BAD_INPUTS = {
     "gl dim bool": (lambda: CuspidalGLLabel("x", True), ValueError, "'x'"),
     "gl self-dual int": (lambda: CuspidalGLLabel("x", 1, 1), ValueError, "'x'"),
     "gl self-dual str": (lambda: CuspidalGLLabel("x", 1, "no"), ValueError, "'x'"),
+    "gl none name dual": (lambda: CuspidalGLLabel(None, 1, False).dual(),
+                          KindMismatchError, "name needs str, got None"),
+    "gl list name hash": (lambda: hash(CuspidalGLLabel(["x"])),
+                          KindMismatchError, r"name needs str, got \['x'\]"),
+    "declare_gl none name": (lambda: LabelRegistry().declare_gl(None, 1, False),
+                             KindMismatchError, "name needs str, got None"),
     "gu rank str": (lambda: GUCuspidalLabel("s", "1"), ValueError, "'s'"),
     "gu rank bool": (lambda: GUCuspidalLabel("s", True), ValueError, "'s'"),
+    "gu none name": (lambda: GUCuspidalLabel(None), KindMismatchError,
+                     "name needs str, got None"),
+    "declare_gu none name": (lambda: LabelRegistry().declare_gu(None),
+                             KindMismatchError, "name needs str, got None"),
     "gu str labels": (lambda: GUCuspidalLabel("s", 0, {"rho": 1}, {"rho"}),
                       KindMismatchError, "'s'"),
     "gu str reducibility": (lambda: GUCuspidalLabel("s", 0, {"rho": 1}),

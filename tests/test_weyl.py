@@ -1,6 +1,7 @@
 """Signed permutations, closed-form representatives, and the exhaustive oracle."""
 
 import itertools
+import math
 
 import pytest
 
@@ -16,14 +17,7 @@ from jacquet import (
     q_rep,
 )
 from jacquet.errors import BruteForceBoundError, KindMismatchError, LeviActionError
-from jacquet.weyl import (
-    all_elements,
-    length,
-    positive_roots,
-    root_image,
-    simple_reflection,
-    simple_roots,
-)
+from jacquet.weyl import all_elements, length, simple_reflection
 
 
 class TestSignedPermutation:
@@ -70,33 +64,45 @@ class TestSignedPermutation:
         with pytest.raises(InvalidParamsError):
             SignedPermutation.identity(3) * SignedPermutation.identity(2)
 
+    @pytest.mark.parametrize("window", [["x"], None], ids=["str letter", "none"])
+    def test_from_window_rejected_kinds(self, window):
+        with pytest.raises(KindMismatchError, match="from_window needs"):
+            SignedPermutation.from_window(window)
+
 
 class TestRoots:
-    def test_counts(self):
-        assert len(positive_roots(3)) == 9
-        assert len(simple_roots(3)) == 3
-        assert positive_roots(0) == simple_roots(0) == ()
-
     def test_simple_reflection_lengths(self):
         for n in (1, 2, 3, 4):
             for i in range(1, n + 1):
                 assert length(simple_reflection(n, i)) == 1
-
-    def test_sign_flip_negates_long_root(self):
-        # the last simple root 2e_n - e_0 goes to its negative under s_n
-        n = 3
-        s = simple_reflection(n, n)
-        c0, vec = root_image(s, simple_roots(n)[-1])
-        assert (c0, vec) == (1, (0, 0, -2))
 
     def test_identity_length_zero(self):
         assert length(SignedPermutation.identity(4)) == 0
 
     def test_longest_element(self):
         # all signs flipped, identity permutation: every positive root dies
-        n = 3
-        w = SignedPermutation(range(1, n + 1), (-1,) * n)
-        assert length(w) == n * n
+        for n in range(1, 6):
+            w = SignedPermutation(range(1, n + 1), (-1,) * n)
+            assert length(w) == n * n
+
+    def test_matches_word_length(self):
+        # The Coxeter word length, as the breadth-first distance from the
+        # identity over right multiplication by the simple reflections.
+        for n in range(1, 6):
+            gens = [simple_reflection(n, i) for i in range(1, n + 1)]
+            dist = {SignedPermutation.identity(n): 0}
+            frontier = list(dist)
+            while frontier:
+                reached = []
+                for w in frontier:
+                    for s in gens:
+                        ws = w * s
+                        if ws not in dist:
+                            dist[ws] = dist[w] + 1
+                            reached.append(ws)
+                frontier = reached
+            assert len(dist) == 2 ** n * math.factorial(n)
+            assert all(length(w) == d for w, d in dist.items()), n
 
 
 class TestGeomParams:
