@@ -78,7 +78,7 @@ def load_declarations(path: str) -> LabelRegistry:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise JacquetError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise JacquetError(f"{path}: the top level must be a JSON object")
@@ -167,9 +167,60 @@ def _wants_json(args) -> bool:
     return getattr(args, "format", "text") == "json"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode  # C-backed: no indent
+
+
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed
+    documents.  With ``indent`` set, ``json`` runs its pure-Python encoder;
+    this writer leaves strings and scalars to the C encoder, and writes a
+    dict whose values are all strings (a segment) once per indent and
+    contents.  Only str values are memoised, since ``1 == True`` and
+    ``{"a": 1}`` and ``{"a": true}`` would share a key."""
+    parts = []
+    memo = {}
+
+    def write(value, pad: str) -> None:
+        if isinstance(value, str):
+            parts.append(_encode_str(value))
+        elif not isinstance(value, (dict, list, tuple)):
+            parts.append(_encode_scalar(value))
+        elif not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            items = sorted(value.items())
+            inner = pad + "  "
+            if all(isinstance(v, str) for _, v in items):
+                key = (pad, *items)
+                if key not in memo:
+                    memo[key] = "{" + ",".join(
+                        f"\n{inner}{_encode_str(k)}: {_encode_str(v)}" for k, v in items
+                    ) + f"\n{pad}}}"
+                parts.append(memo[key])
+                return
+            opener = "{"
+            for k, v in items:
+                parts.append(f"{opener}\n{inner}{_encode_str(k)}: ")
+                write(v, inner)
+                opener = ","
+            parts.append(f"\n{pad}}}")
+        else:
+            inner = pad + "  "
+            opener = "["
+            for v in value:
+                parts.append(f"{opener}\n{inner}")
+                write(v, inner)
+                opener = ","
+            parts.append(f"\n{pad}]")
+
+    write(obj, "")
+    return "".join(parts)
+
+
 def _emit(args, obj: "dict | None", text_lines) -> None:
     if _wants_json(args):
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(_dumps(obj))
     else:
         for line in text_lines:
             print(line)
@@ -327,7 +378,7 @@ def _cmd_check_lj(args) -> int:
         with open(args.datum, encoding="utf-8") as handle:
             datum_obj = json.load(handle)
         datum = lj_from_obj(datum_obj, gl, gu)
-    except (JacquetError, ValueError) as exc:
+    except (JacquetError, ValueError, RecursionError) as exc:
         raise JacquetError(f"{args.datum}: {exc}") from None
     report = validate_lj(datum, strict=args.strict_jord)
     obj = {"command": "check-lj", "datum": datum_obj, **report.to_obj()}

@@ -80,14 +80,15 @@ class TwistFixednessWarning(UserWarning):
 def _checked(where: str, kind, values) -> tuple:
     """``values`` as a tuple.  Raises ``KindMismatchError`` naming
     ``where`` when ``values`` is not iterable or an item is not a ``kind``
-    (a type or a tuple of types)."""
+    (a type or a tuple of types).  A ``bool`` passes only where ``bool`` is
+    named: it is an ``int``, but ``True`` is no window letter or exponent."""
     try:
         values = tuple(values)
     except TypeError:
         raise KindMismatchError(f"{where} needs an iterable, got {values!r}") from None
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     for value in values:
-        if not isinstance(value, kind):
-            kinds = kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             names = " or ".join(k.__name__ for k in kinds)
             raise KindMismatchError(f"{where} needs {names}, got {value!r}")
     return values

@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import jacquet
 from jacquet import ExpressionError, JacquetError, LabelRegistry, UnknownLabelError
-from jacquet.cli import build_parser, main, make_resolvers
+from jacquet.cli import _dumps, build_parser, main, make_resolvers
 from jacquet.expressions import parse_expression, parse_tensor_target
 from helpers import h
 
@@ -40,6 +41,10 @@ DECLS = {
         }
     ],
 }
+
+
+# Deeper than the interpreter's recursion limit lets json.load decode.
+OVER_NESTED = "[" * 100000 + "]" * 100000
 
 
 @pytest.fixture
@@ -181,6 +186,39 @@ class TestRoundTrip:
                 text += " |x| sigma"
             expr = parse_expression(text, gl, gu)
             assert parse_expression(str(expr), gl, gu) == expr
+
+
+_CHARS = st.one_of(
+    st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+    st.characters(),
+)
+_STRINGS = st.text(_CHARS, max_size=6)
+# Dicts that compare equal key by key (1 == True == 1.0) but print apart.
+_LOOKALIKES = st.sampled_from([{"a": 1}, {"a": True}, {"a": "1"}, {"a": 1.0}])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, _LOOKALIKES, st.lists(_LOOKALIKES, min_size=2, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+# Each sub-document also one level deeper, as a memo keyed without the
+# indent would print it.
+_NESTED = _DOCUMENTS.map(lambda doc: [doc, [doc]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_DOCUMENTS, _NESTED))
+@example([{"a": 1}, {"a": True}, {"a": "1"}])
+@example([{"a": "1"}, [{"a": "1"}]])
+def test_dumps_matches_json_indent_layout(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestCommands:
@@ -382,6 +420,7 @@ class TestCommands:
         {"gl": [{"name": "rho"}, {"name": "rho", "dim": 2}]},
         "not json",
         {"gl": [{"name": "rho"}, {"name": "rho~", "conj_self_dual": False}]},
+        pytest.param(OVER_NESTED, id="over-nested"),
     ])
     def test_malformed_declarations(self, doc, tmp_path, capsys):
         path = tmp_path / "decls.json"
@@ -411,6 +450,7 @@ class TestCommands:
         {"sigma": "sigma", "jord": [{"rho": "ghost", "a": "2", "b": ["1", "2"]}]},
         {"sigma": "ghost", "jord": []},
         "not json",
+        pytest.param(OVER_NESTED, id="over-nested"),
     ])
     def test_malformed_datum(self, doc, decls_file, tmp_path, capsys):
         path = tmp_path / "datum.json"

@@ -30,6 +30,10 @@ class TestHalfInt:
         assert HalfInt("\u0663").twice == 6
         assert HalfInt("\u0663/2").twice == 3
 
+    def test_from_twice_rejects_bool(self):
+        with pytest.raises(KindMismatchError, match="from_twice needs int, got True"):
+            HalfInt.from_twice(True)
+
     def test_rejects_non_halves(self):
         with pytest.raises(ValueError):
             HalfInt("3/4")

@@ -69,6 +69,14 @@ class TestSignedPermutation:
         with pytest.raises(KindMismatchError, match="from_window needs"):
             SignedPermutation.from_window(window)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SignedPermutation.from_window([True, 2]),
+        lambda: SignedPermutation((2, True)),
+    ], ids=["from_window", "constructor"])
+    def test_bool_letters_rejected(self, make):
+        with pytest.raises(KindMismatchError, match="needs int, got True"):
+            make()
+
 
 class TestRoots:
     def test_simple_reflection_lengths(self):
