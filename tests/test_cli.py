@@ -208,8 +208,8 @@ _DOCUMENTS = st.recursive(
     ),
     max_leaves=8,
 )
-# Each sub-document also one level deeper, as a memo keyed without the
-# indent would print it.
+# The same sub-document at two depths, which a memo keyed without the
+# indent would print alike.
 _NESTED = _DOCUMENTS.map(lambda doc: [doc, [doc]])
 
 
