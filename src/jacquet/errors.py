@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "JacquetError", "SegmentError", "KindMismatchError", "ShapeError",
+    "TermLimitError", "LabelConflictError", "UnknownLabelError",
+    "InvalidParamsError", "NonBijectionError", "LeviActionError",
+    "BruteForceBoundError", "InvalidDatumError", "UndeclaredReducibilityError",
+    "ExpressionError", "TwistFixednessWarning",
+]
+
 
 class JacquetError(Exception):
     """Base class for all domain errors raised by this package."""

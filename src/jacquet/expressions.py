@@ -27,7 +27,7 @@ from .grothendieck import GLMonomial, GUClass, TensorTerm
 from .scalars import GUCuspidalLabel, HalfInt, Keyed, TRIVIAL_TWIST
 from .segments import Segment
 
-__all__ = ["Expression", "parse_expression", "parse_tensor_target"]
+__all__ = ["Expression", "parse_expression"]
 
 
 class Expression(Keyed):

@@ -28,11 +28,9 @@ __all__ = [
     "GUClass",
     "TensorTerm",
     "FormalSum",
-    "Monomial",
     "gl_multiply",
     "tensor_multiply",
     "sum_to_obj",
-    "factor_to_obj",
 ]
 
 _DEFAULT_MAX_TERMS = 10**6

@@ -21,14 +21,12 @@ from .errors import (InvalidParamsError, KindMismatchError, LabelConflictError,
                      UnknownLabelError, _checked)
 
 __all__ = [
-    "Keyed",
     "HalfInt",
     "CuspidalGLLabel",
     "GUCuspidalLabel",
     "TwistTag",
     "TRIVIAL_TWIST",
     "LabelRegistry",
-    "DUAL_MARKER",
 ]
 
 
@@ -86,9 +84,9 @@ class HalfInt(Keyed):
     ``HalfInt("1/2")`` for one half.  Addition, subtraction, negation and
     comparisons are exact and never round.  ``twice`` stands in for a
     ``key``: equality, order and hashing go by it, and equality and order
-    also accept plain ints, so ``HalfInt(2) == 2``.  Hashes are not aligned
-    with int hashes, so HalfInt and int must not be mixed as keys of one
-    dict.
+    also accept plain ints, so ``HalfInt(2) == 2`` and the two hash
+    alike.  A ``bool`` is no int here: ``HalfInt(True)`` raises
+    ``KindMismatchError``.
     """
 
     __slots__ = ("twice",)
@@ -137,7 +135,7 @@ class HalfInt(Keyed):
         return HalfInt.from_twice(-self.twice)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return HalfInt.from_twice(self.twice * other)
         return NotImplemented
 
@@ -156,7 +154,8 @@ class HalfInt(Keyed):
         return self.twice < o
 
     def __hash__(self):
-        return hash(self.twice)
+        t = self.twice
+        return hash(t // 2) if t % 2 == 0 else hash((t,))
 
     def __bool__(self):
         return self.twice != 0
@@ -171,10 +170,11 @@ class HalfInt(Keyed):
 
 
 def _twice(x) -> "int | None":
-    """Twice the value of a HalfInt or an int; None for anything else."""
+    """Twice the value of a HalfInt or an int; None for anything else,
+    a ``bool`` included."""
     if isinstance(x, HalfInt):
         return x.twice
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return 2 * x
     return None
 

@@ -42,9 +42,7 @@ from .structure import GroupMode, jacquet_by_shape
 __all__ = [
     "JordSequence",
     "LJDatum",
-    "LJValidation",
     "SPConditions",
-    "SPEntry",
     "enumerate_jord",
     "build_inducing_rep",
     "check_inducing_constraints",
@@ -181,8 +179,6 @@ def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
     if a < 0:
         raise InvalidDatumError(f"reducibility point must be >= 0, got {a}")
     k = a.ceil()
-    if k == 0:
-        return [JordSequence(rho, a, ())]
     out = []
     for combo in itertools.combinations(_grid(a, max_b), k):
         if strict and any(bj < a - k + j for j, bj in enumerate(combo, start=1)):

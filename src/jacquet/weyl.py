@@ -46,9 +46,6 @@ __all__ = [
     "enumerate_geom_params",
     "brute_force_coset_reps",
     "levi_action",
-    "length",
-    "simple_reflection",
-    "all_elements",
 ]
 
 

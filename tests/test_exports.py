@@ -1,5 +1,6 @@
 """Export lists and import cost: every name a module lists in ``__all__``
-exists, and the command-line module loads no code generators."""
+exists and, outside the command line, is exported by the package root;
+the command-line module loads no code generators."""
 
 import importlib
 import os
@@ -20,6 +21,20 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+@pytest.mark.parametrize(
+    "name", [m for m in MODULES if m not in ("jacquet.cli", "jacquet.__main__")]
+)
+def test_all_names_exported_from_root(name):
+    # A name in a module's __all__ reaches ``dir(jacquet)``, and so the
+    # contract test, with no second list to edit.  The command line
+    # (``cli`` and the ``__main__`` script) stays out of the root.
+    module = importlib.import_module(name)
+    assert hasattr(module, "__all__"), f"{name} declares no __all__"
+    missing = [n for n in module.__all__
+               if getattr(jacquet, n, None) is not getattr(module, n)]
+    assert not missing, f"{name}.__all__ names not exported by jacquet: {missing}"
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -9,12 +9,15 @@ from jacquet import (
     CuspidalGLLabel,
     GUCuspidalLabel,
     HalfInt,
+    JordSequence,
     KindMismatchError,
     LabelConflictError,
     LabelRegistry,
+    Segment,
     TRIVIAL_TWIST,
     TwistTag,
     UnknownLabelError,
+    enumerate_sp,
 )
 from helpers import h
 
@@ -33,6 +36,32 @@ class TestHalfInt:
     def test_from_twice_rejects_bool(self):
         with pytest.raises(KindMismatchError, match="from_twice needs int, got True"):
             HalfInt.from_twice(True)
+
+    def test_rejects_bool(self):
+        rho = CuspidalGLLabel("rho")
+        sigma = GUCuspidalLabel("s", 0, {rho: 1})
+        calls = [
+            lambda: HalfInt(True),
+            lambda: Segment(rho, True, 2),
+            lambda: JordSequence(rho, True, ["1"]),
+            lambda: GUCuspidalLabel("s", 0, {rho: True}),
+            lambda: enumerate_sp([rho], sigma, True),
+        ]
+        for call in calls:
+            with pytest.raises(KindMismatchError, match="HalfInt from True"):
+                call()
+        with pytest.raises(TypeError):
+            HalfInt(3) + True
+        with pytest.raises(TypeError):
+            HalfInt(3) * True
+        assert (HalfInt(1) == True) is False  # noqa: E712
+
+    def test_hash_matches_int(self):
+        for n in range(-5, 6):
+            assert hash(HalfInt(n)) == hash(n)
+        assert HalfInt(2) in {2}
+        assert {2: "x"}.get(HalfInt(2)) == "x"
+        assert {HalfInt(2): "x"}.get(2) == "x"
 
     def test_rejects_non_halves(self):
         with pytest.raises(ValueError):
