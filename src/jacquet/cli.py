@@ -32,7 +32,7 @@ from .expressions import Expression, parse_expression, parse_tensor_target, targ
 from .grothendieck import FormalSum, sum_to_obj
 from .scalars import DUAL_MARKER, HalfInt, LabelRegistry
 from .spclassifier import enumerate_sp, lj_from_obj, validate_lj
-from .structure import GroupMode, jacquet_by_shape, mstar_big, mu_star
+from .structure import GroupMode, _coefficient, jacquet_by_shape, mstar_big, mu_star
 from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
 
 __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]
@@ -288,8 +288,7 @@ def _cmd_mult(args) -> int:
             f"target has {term.arity} factors but shape {list(shape)} "
             f"needs {len(shape) + 1}"
         )
-    result = jacquet_by_shape(expr.gu_class(), shape, _mode(args))
-    mult = result.coefficient(term)
+    mult = _coefficient(expr.gu_class(), shape, term, _mode(args))
     obj = {
         "command": "mult",
         "group": args.group,

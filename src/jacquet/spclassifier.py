@@ -37,7 +37,7 @@ from .scalars import (
     TRIVIAL_TWIST,
 )
 from .segments import Segment
-from .structure import GroupMode, jacquet_by_shape
+from .structure import GroupMode, _coefficient
 
 __all__ = [
     "JordSequence",
@@ -330,22 +330,30 @@ def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
 
 def _leading_multiplicity(rep: GUClass, mode: GroupMode) -> int:
     """Coefficient of (each segment in its own block, bare anchor) in the
-    Jacquet module of ``rep`` along its segment ranks."""
+    Jacquet module of ``rep`` along its segment ranks, computed by
+    ``_coefficient`` without building the module."""
     shape = tuple(seg.rank for seg in rep.segments)
-    target = TensorTerm(
-        tuple(GLMonomial((seg,)) for seg in rep.segments)
-        + (GUClass((), rep.sigma, TRIVIAL_TWIST),)
-    )
-    return jacquet_by_shape(rep, shape, mode).coefficient(target)
+    # Built trusted: each block is one canonical segment, the anchor bare.
+    blocks = tuple(GLMonomial._trusted((seg,), (seg.key,)) for seg in rep.segments)
+    anchor = GUClass._trusted((), rep.sigma, TRIVIAL_TWIST,
+                              ((), rep.sigma.name, TRIVIAL_TWIST.key))
+    target = TensorTerm._trusted(blocks + (anchor,),
+                                 tuple(b.key for b in blocks) + (anchor.key,))
+    return _coefficient(rep, shape, target, mode)
 
 
 class SPEntry(Keyed):
-    """One enumerated datum with its inducing class and diagnostics."""
+    """One enumerated datum with its inducing class and diagnostics.  An
+    argument of another kind raises ``KindMismatchError``."""
 
     __slots__ = ("datum", "inducing", "constraints_ok", "leading_multiplicity", "key")
 
     def __init__(self, datum: LJDatum, inducing: GUClass, constraints_ok: bool,
                  leading_multiplicity: int):
+        _checked("an SPEntry datum", LJDatum, (datum,))
+        _checked("an SPEntry inducing class", GUClass, (inducing,))
+        _checked("an SPEntry constraints flag", bool, (constraints_ok,))
+        _checked("an SPEntry multiplicity", int, (leading_multiplicity,))
         self._fill(datum, inducing, constraints_ok, leading_multiplicity,
                    (datum.key, inducing.key, constraints_ok, leading_multiplicity))
 

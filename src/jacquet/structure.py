@@ -18,7 +18,9 @@ This module computes, entirely at the level of formal classes:
   shape, a tuple of GL block ranks in order: the ``mu_star`` terms whose
   GL factor has the shape's total rank, with that factor cut into blocks
   directly, one block at a time, taking from each segment only the top
-  pieces whose ranks add up to the block's rank.
+  pieces whose ranks add up to the block's rank;
+* ``_coefficient`` -- one coefficient of that module, without building
+  it: the M* entries and the cuts are pruned against the target term.
 
 Every cut of a segment comes from ``_cuts``, the one process-wide memo
 here: a table of the segment's m* cuts, its M* terms (with the dual and
@@ -41,8 +43,9 @@ class's segments and of their duals: every piece a mu* GL factor or a
 cut of one can hold.  Its rank filter adds up ranks read once per id; a
 segment's m* cuts become a table of (top rank, top ids, bottom ids) when
 first needed, and the per-call memo of block cuts is keyed on (id tuple,
-remaining blocks).  Every fold step, split and output checks
-JACQUET_MAX_TERMS as each new term enters it.
+remaining blocks), or on (id tuple, block index) for a coefficient.  Every
+fold step, split and output checks JACQUET_MAX_TERMS as each new term
+enters it.
 """
 
 from __future__ import annotations
@@ -355,7 +358,8 @@ def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
 
 
 class _BlockCutter:
-    """Block cuts of GL monomials for one ``jacquet_by_shape`` call on ``g``.
+    """Block cuts of GL monomials for one ``jacquet_by_shape`` or
+    ``_coefficient`` call on ``g``.
 
     Every segment a cut can produce has its ``_numbering`` id up front, so
     a GL monomial is a sorted tuple of ids, and every block a cut produces
@@ -369,7 +373,9 @@ class _BlockCutter:
         self.ranks = [s.rank for s in self.segments]  # segment id -> rank
         self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
-        self.memo: dict = {}      # (id tuple, blocks) -> [(block ids, multiplicity)]
+        # (id tuple, blocks) -> [(block ids, multiplicity)] in ``split``,
+        # (id tuple, block index) -> multiplicity in ``count``
+        self.memo: dict = {}
 
     def block(self, ids: tuple) -> int:
         return self.block_ids.setdefault(ids, len(self.block_ids))
@@ -387,17 +393,19 @@ class _BlockCutter:
         if table is None:
             dim, ids = self.segments[i].rho.dim, self.ids
             table = self.tables[i] = [
-                (l * dim, tuple(ids[p.key] for p in top), tuple(ids[p.key] for p in bottom))
+                (l * dim, (ids[top[0].key],) if top else (),
+                 (ids[bottom[0].key],) if bottom else ())
                 for l, (top, bottom) in enumerate(_cuts(self.segments[i])[0])]
         return table
 
-    def top_cuts(self, mono: tuple, rank: int) -> dict:
+    def top_cuts(self, mono: tuple, rank: int, within=None) -> dict:
         """The terms of m*(mono) whose top piece has the given rank, as
         {(top block id, bottom ids): multiplicity}.
 
-        Only top-length vectors with sum(l * dim) == rank are visited.
-        Different vectors can give the same pair (repeated or overlapping
-        segments), hence the count.
+        Only top-length vectors with sum(l * dim) == rank are visited, and
+        with a set of ids ``within``, only those whose nonempty top pieces
+        are all in it.  Different vectors can give the same pair (repeated
+        or overlapping segments), hence the count.
         """
         tables = [self.table(i) for i in mono]
         n = len(tables)
@@ -415,6 +423,8 @@ class _BlockCutter:
             for r, top, bottom in tables[k]:
                 if r > left:
                     break
+                if within is not None and top and top[0] not in within:
+                    continue
                 if left - r <= room[k + 1]:
                     choose(k + 1, left - r, tops + top, bottoms + bottom)
 
@@ -448,6 +458,44 @@ class _BlockCutter:
             found = self.memo[key] = list(out.items())
         return found
 
+    def count(self, mono: tuple, blocks: tuple, k: int = 0) -> int:
+        """The multiplicity of the ordered blocks ``blocks[k:]`` (sorted id
+        tuples) among the cuts of ``mono`` along their ranks.  At each
+        block only the top cuts whose top is that block are followed."""
+        if k + 1 >= len(blocks):
+            # The last block takes the whole rest; () splits the unit once.
+            return int(mono == (blocks[k] if blocks else ()))
+        key = (mono, k)
+        found = self.memo.get(key)
+        if found is None:
+            block = blocks[k]
+            top = self.block(block)
+            rank = sum(map(self.ranks.__getitem__, block))
+            found = self.memo[key] = sum(
+                c * self.count(bottom, blocks, k + 1)
+                for (t, bottom), c in self.top_cuts(mono, rank, set(block)).items()
+                if t == top)
+        return found
+
+
+def _query(where: str, g: GUClass, shape, mode) -> tuple:
+    """(shape as a tuple, ``GroupMode``) of a query on ``g`` along
+    ``shape``, after the checks ``jacquet_by_shape`` documents."""
+    mode = GroupMode(mode)
+    _checked(where, GUClass, (g,))
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise ShapeError(f"shape must be iterable, got {shape!r}") from None
+    if any(type(b) is not int or b <= 0 for b in shape):
+        raise ShapeError(f"shape blocks must be positive ints, got {shape}")
+    total = sum(shape)
+    if total > g.gl_rank:
+        raise ShapeError(
+            f"shape {shape} needs GL rank {total}, but the class only has {g.gl_rank}"
+        )
+    return shape, mode
+
 
 def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> FormalSum:
     """Semisimplified Jacquet module of ``g`` along ``shape``, an
@@ -460,19 +508,8 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     exceeds JACQUET_MAX_TERMS, and ``KindMismatchError`` when ``g`` is
     not a ``GUClass``.
     """
-    mode = GroupMode(mode)
-    _checked("jacquet_by_shape", GUClass, (g,))
-    try:
-        shape = tuple(shape)
-    except TypeError:
-        raise ShapeError(f"shape must be iterable, got {shape!r}") from None
-    if any(type(b) is not int or b <= 0 for b in shape):
-        raise ShapeError(f"shape blocks must be positive ints, got {shape}")
+    shape, mode = _query("jacquet_by_shape", g, shape, mode)
     total = sum(shape)
-    if total > g.gl_rank:
-        raise ShapeError(
-            f"shape {shape} needs GL rank {total}, but the class only has {g.gl_rank}"
-        )
     cap = _max_terms()
     cutter = _BlockCutter(g, cap)
     anchors: dict = {}    # anchor key -> anchor id
@@ -504,3 +541,71 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
         factors = tuple(map(mono_at, parts)) + (gu,)
         terms[TensorTerm._trusted(factors, tuple(map(key_at, parts)) + (gu.key,))] = m
     return FormalSum._from_terms(terms)
+
+
+def _exponents(segments) -> dict:
+    """{(label name, twice an exponent): count} over ``segments``."""
+    out: dict = {}
+    for s in segments:
+        for e in range(s.a.twice, s.b.twice + 1, 2):
+            out[(s.rho.name, e)] = out.get((s.rho.name, e), 0) + 1
+    return out
+
+
+def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> int:
+    """``jacquet_by_shape(g, shape, mode).coefficient(target)``, without
+    building the module.
+
+    Tadic's structure formula is pruned against the target, exactly:
+    an M* entry of a segment is dropped when its third piece, which lands
+    on the anchor, is not a segment of the target's anchor, or when its
+    dualized first and second pieces hold some (label, exponent) more
+    often than the target's blocks do (cutting keeps that multiset).  The
+    kept entries are folded by ``_fold``; each folded term with the
+    target's anchor is cut by ``_BlockCutter.count``, which follows only
+    the target's block at each step.  Raises what ``jacquet_by_shape``
+    raises for ``g``, ``shape`` and ``mode``; a ``TermLimitError`` names
+    the ``coefficient`` layer.
+    """
+    shape, mode = _query("a coefficient query", g, shape, mode)
+    if not (isinstance(target, TensorTerm) and target.arity == len(shape) + 1
+            and isinstance(target.factors[-1], GUClass)):
+        return 0
+    *blocks, anchor = target.factors
+    if [b.rank for b in blocks] != list(shape):
+        return 0
+    cutter = _BlockCutter(g, _max_terms())
+    ids = cutter.ids
+    if any(k not in ids for b in blocks for k in b.key):
+        return 0
+    targets = tuple(tuple(ids[k] for k in b.key) for b in blocks)
+    on_anchor = {s.key for s in anchor.segments}
+    support = _exponents(p for b in blocks for p in b.segments)
+
+    def fits(entry) -> bool:
+        _, second, third, dual, _ = entry
+        if third and third[0].key not in on_anchor:
+            return False
+        need: dict = {}
+        for p in dual + second:
+            name = p.rho.name
+            for e in range(p.a.twice, p.b.twice + 1, 2):
+                n = need[name, e] = need.get((name, e), 0) + 1
+                if n > support.get((name, e), 0):
+                    return False
+        return True
+
+    # The bare start of the fold; g's twist is already free of fixed labels.
+    bare = GUClass._trusted((), g.sigma, g.twist, ((), g.sigma.name, g.twist.key))
+    start = FormalSum._from_terms(
+        {TensorTerm._trusted((GLMonomial._trusted((), ()), bare), ((), bare.key)): 1})
+    steps = [(s, [(entry, 1) for entry in _cuts(s)[1] if fits(entry)]) for s in g.segments]
+    if not all(entries for _, entries in steps):
+        return 0
+    folded = _fold(steps, start, mode, "coefficient") if steps else start
+    id_of, out = ids.__getitem__, 0
+    for term, c in folded.items():
+        gl, gu = term.factors
+        if gu.key == anchor.key:
+            out += c * cutter.count(tuple(map(id_of, gl.key)), targets)
+    return out

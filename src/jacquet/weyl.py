@@ -154,7 +154,9 @@ def length(w: SignedPermutation) -> int:
 
 
 def simple_reflection(n: int, i: int) -> SignedPermutation:
-    """s_i swaps slots i, i+1 for i < n; s_n flips the sign at slot n."""
+    """s_i swaps slots i, i+1 for i < n; s_n flips the sign at slot n.
+    An ``n`` or ``i`` that is not an int raises ``KindMismatchError``."""
+    _checked("simple_reflection", int, (n, i))
     if not 1 <= i <= n:
         raise InvalidParamsError(f"no simple reflection {i} in rank {n}")
     window = list(range(1, n + 1))

@@ -168,6 +168,57 @@ def unpruned_jacquet_by_shape(g: GUClass, blocks: tuple,
     return FormalSum(out)
 
 
+def predicted_module_size(g: GUClass, shape: tuple) -> int:
+    """Total multiplicity of ``jacquet_by_shape(g, shape)``, from a
+    generating function that never looks at a term; the same in GU and U
+    mode.
+
+    m* is multiplicative (Zelevinsky, LNM 869, 1981) and merging keeps
+    total multiplicity.  Let h_p(x1..xr) be the sum of x^c over the
+    compositions c of p into r = len(shape) parts, zeros allowed.  A
+    segment of length L and label dim d contributes
+    F = sum over p + q <= L of h_p * h_q, with each x_k replaced by x_k^d:
+    p is the length of the dualized first M* piece and q that of the
+    second, and h_p counts the ways to cut a piece into ordered blocks.
+    The total is the coefficient of x1^k1...xr^kr in the product of the
+    F, truncated at ``shape`` as it is multiplied out.
+    """
+    shape = tuple(shape)
+
+    def times(f: dict, g2: dict) -> dict:
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g2.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if all(x <= k for x, k in zip(e, shape)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    def complete(p: int, dim: int) -> dict:
+        """h_p with x_k -> x_k^dim, truncated at ``shape``."""
+        def parts(left: int, k: int):
+            if k == len(shape):
+                if left == 0:
+                    yield ()
+                return
+            for c in range(min(left, shape[k] // dim) + 1):
+                for rest in parts(left - c, k + 1):
+                    yield (dim * c,) + rest
+
+        return dict.fromkeys(parts(p, 0), 1)
+
+    total = {(0,) * len(shape): 1}
+    for s in g.segments:
+        h = [complete(p, s.rho.dim) for p in range(s.length + 1)]
+        factor = {}
+        for p in range(s.length + 1):
+            for q in range(s.length + 1 - p):
+                for e, c in times(h[p], h[q]).items():
+                    factor[e] = factor.get(e, 0) + c
+        total = times(total, factor)
+    return total.get(shape, 0)
+
+
 def strip_twists(s: FormalSum) -> FormalSum:
     """Replace every term's anchor twist with the trivial tag, merging
     multiplicities of terms that collide afterwards."""

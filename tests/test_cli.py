@@ -270,6 +270,17 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["multiplicity"] == 1
 
+    def test_mult_under_a_cap_the_module_exceeds(self, capsys, monkeypatch):
+        # The module, and mu* on the way to it, pass 10 terms; the fold of
+        # the target-compatible pieces does not.
+        expr = "d(0,1@rho) x d(1,2@rho) x d(2,3@rho) |x| sigma"
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "10")
+        assert main(["jacquet", expr, "--shape", "2,2,2"]) == 1
+        assert "JACQUET_MAX_TERMS (10 terms)" in capsys.readouterr().err
+        assert main(["mult", expr, "--shape", "2,2,2", "--term",
+                     "d(0,1@rho) (x) d(1,2@rho) (x) d(2,3@rho) (x) 1 |x| sigma"]) == 0
+        assert capsys.readouterr().out.endswith("in r_[2, 2, 2]: 1\n")
+
     def test_mult_arity_check(self, capsys):
         code = main([
             "mult", "d(1,1@rho) |x| sigma",

@@ -12,6 +12,7 @@ from jacquet import (
     HalfInt,
     InvalidDatumError,
     JordSequence,
+    KindMismatchError,
     LJDatum,
     Segment,
     TwistFixednessWarning,
@@ -235,6 +236,16 @@ class TestEnumerateSP:
         assert entries == enumerate_sp([RHO, RHO2], s, HalfInt(5))
         assert len(entries) == 6 * 6
 
+    def test_two_labels_at_max_b_four(self):
+        # a = 2 and 3/2 over a rank-0 anchor.  Building each datum's whole
+        # Jacquet module ran past JACQUET_MAX_TERMS on one of these data.
+        s = GUCuspidalLabel(
+            "s4", reducibility={RHO: HalfInt(2), RHO2: h(3)}, twist_fixed={RHO, RHO2},
+        )
+        entries = enumerate_sp([RHO, RHO2], s, 4)
+        assert len(entries) == 100
+        assert all(e.leading_multiplicity == 1 for e in entries)
+
     def test_one_build_per_datum(self, monkeypatch, recwarn):
         validated = []
 
@@ -276,6 +287,21 @@ class TestEnumerateSP:
         for e in entries:
             assert e.inducing not in seen, (e.datum, seen[e.inducing])
             seen[e.inducing] = e.datum
+
+
+class TestSPEntry:
+    def test_rejects_wrong_kinds(self):
+        entry = enumerate_sp([RHO], SIGMA, HalfInt(3))[0]
+        fields = (entry.datum, entry.inducing, entry.constraints_ok,
+                  entry.leading_multiplicity)
+        assert spclassifier.SPEntry(*fields) == entry
+        with pytest.raises(KindMismatchError):
+            spclassifier.SPEntry(None, None, None, None)
+        for i, bad in enumerate((entry.inducing, entry.datum, 1, True)):
+            args = list(fields)
+            args[i] = bad
+            with pytest.raises(KindMismatchError):
+                spclassifier.SPEntry(*args)
 
 
 class TestValidateLJ:

@@ -34,10 +34,13 @@ from jacquet import (
     twisted_rtimes,
 )
 from jacquet.grothendieck import sum_to_obj
+from jacquet.spclassifier import _leading_multiplicity
+from jacquet.structure import _coefficient
 from helpers import (
     direct_single_segment_mu,
     h,
     make_mixed_labels,
+    predicted_module_size,
     random_segments,
     reference_mu_star_of_segments,
     seg,
@@ -528,6 +531,44 @@ def _compositions(n):
         yield tuple(out + [run])
 
 
+def _iterated_cases():
+    """(class, n1, n2) for the two-block consistency check: 12 random
+    classes of GL rank at least 2, with n1 + n2 at most that rank."""
+    labels, sigma = make_mixed_labels()
+    rng = random.Random(23)
+    checked = 0
+    while checked < 12:
+        segments = random_segments(rng, labels, max_segments=2, max_length=3)
+        glrank = sum(s.rank for s in segments)
+        if glrank < 2:
+            continue
+        n1 = rng.randrange(1, glrank)
+        n2 = rng.randrange(1, glrank - n1 + 1)
+        yield GUClass(segments, sigma), n1, n2
+        checked += 1
+
+
+def _random_cases():
+    """(class, sorted shapes) for the randomized oracles: 25 random classes
+    of up to three segments, each with (), its full rank, 1^n up to n = 6,
+    every composition up to rank 5, and one random composition of each
+    smaller total up to 5."""
+    labels, sigma = make_mixed_labels()
+    rng = random.Random(31)
+    for _ in range(25):
+        g = GUClass(random_segments(rng, labels, max_segments=3, max_length=3),
+                    sigma)
+        n = g.gl_rank
+        shapes = {(), (n,) if n else ()}
+        if n <= 6:  # 1^n of three overlapping rho segments runs to 1^9
+            shapes.add((1,) * n)
+        if 0 < n <= 5:
+            shapes.update(_compositions(n))
+        for total in range(1, min(n - 1, 5) + 1):
+            shapes.add(rng.choice(list(_compositions(total))))
+        yield g, sorted(shapes)
+
+
 class TestJacquetByShape:
     def test_trivial_shape(self):
         g = GUClass([seg(RHO, 1, 2)], SIGMA)
@@ -585,17 +626,7 @@ class TestJacquetByShape:
         assert out.coefficient(target) == 1
 
     def test_iterated_consistency(self):
-        labels, sigma = make_mixed_labels()
-        rng = random.Random(23)
-        checked = 0
-        while checked < 12:
-            segments = random_segments(rng, labels, max_segments=2, max_length=3)
-            glrank = sum(s.rank for s in segments)
-            if glrank < 2:
-                continue
-            n1 = rng.randrange(1, glrank)
-            n2 = rng.randrange(1, glrank - n1 + 1)
-            g = GUClass(segments, sigma)
+        for g, n1, n2 in _iterated_cases():
             full = jacquet_by_shape(g, (n1, n2))
             two_step = {}
             for t, m in jacquet_by_shape(g, (n1,)).items():
@@ -605,7 +636,6 @@ class TestJacquetByShape:
                     key = TensorTerm((x1, x2, rest))
                     two_step[key] = two_step.get(key, 0) + m * m2
             assert dict(full.items()) == two_step
-            checked += 1
 
     def test_term_cap_fails_fast(self, monkeypatch):
         # mu* has at most 10**3 terms here, the module along 1^9 313,440.
@@ -630,21 +660,9 @@ class TestJacquetByShape:
 
     @pytest.mark.slow
     def test_matches_unpruned_oracle_random(self):
-        labels, sigma = make_mixed_labels()
-        rng = random.Random(31)
-        for _ in range(25):
-            g = GUClass(random_segments(rng, labels, max_segments=3, max_length=3),
-                        sigma)
-            n = g.gl_rank
-            shapes = {(), (n,) if n else ()}
-            if n <= 6:  # 1^n of three overlapping rho segments runs to 1^9
-                shapes.add((1,) * n)
-            if 0 < n <= 5:
-                shapes.update(_compositions(n))
-            for total in range(1, min(n - 1, 5) + 1):
-                shapes.add(rng.choice(list(_compositions(total))))
+        for g, shapes in _random_cases():
             for mode in GroupMode:
-                for shape in sorted(shapes):
+                for shape in shapes:
                     assert _same_output(jacquet_by_shape(g, shape, mode),
                                         unpruned_jacquet_by_shape(g, shape, mode)), \
                         (g, shape, mode)
@@ -720,3 +738,197 @@ class TestJacquetByShape:
             GUClass([], SIGMA, TRIVIAL_TWIST),
         ))
         assert out.coefficient(target) == 1
+
+
+class TestModuleSize:
+    """Total multiplicities against the generating function of
+    ``helpers.predicted_module_size``."""
+
+    def test_random_shapes(self):
+        for g, shapes in _random_cases():
+            for shape in shapes:
+                want = predicted_module_size(g, shape)
+                for mode in GroupMode:
+                    assert jacquet_by_shape(g, shape, mode).total_multiplicity() \
+                        == want, (g, shape, mode)
+        for g, n1, n2 in _iterated_cases():
+            for shape in ((n1, n2), (n1,)):
+                assert jacquet_by_shape(g, shape).total_multiplicity() \
+                    == predicted_module_size(g, shape), (g, shape)
+
+    def test_mu_star_slices(self):
+        for g, _ in _random_cases():
+            entries = math.prod((s.length + 1) * (s.length + 2) // 2 for s in g.segments)
+            slices = [predicted_module_size(g, (r,) if r else ())
+                      for r in range(g.gl_rank + 1)]
+            assert sum(slices) == entries
+            for mode in GroupMode:
+                mu = mu_star(g, mode)
+                assert mu.total_multiplicity() == entries
+                for r, want in enumerate(slices):
+                    assert sum(c for t, c in mu.items() if t.factors[0].rank == r) \
+                        == want, (g, r, mode)
+
+
+def _absent_targets(g: GUClass, shape: tuple, term: TensorTerm) -> list:
+    """Targets built from a term of the module of ``g`` along ``shape``
+    that the module may not hold: its anchor twisted, with a segment
+    added, or over another label; its first block made of a foreign
+    segment or one rank too big; one factor too few or too many; its
+    factors as GL monomials only; and no term at all."""
+    *blocks, anchor = term.factors
+    zeta = CuspidalGLLabel("zeta")
+    rho = g.segments[0].rho if g.segments else RHO
+    twist = TwistTag(((rho.name, 1, HalfInt(1)),))
+    out = [
+        TensorTerm((*blocks, GUClass(anchor.segments, anchor.sigma,
+                                     anchor.twist.merge(twist)))),
+        TensorTerm((*blocks, GUClass(anchor.segments + (seg(rho, 0, 0),),
+                                     anchor.sigma, anchor.twist))),
+        TensorTerm((*blocks, GUClass(anchor.segments, GUCuspidalLabel("other"),
+                                     anchor.twist))),
+        TensorTerm(tuple(blocks)),
+        TensorTerm((*blocks, mono(seg(rho, 0, 0)), anchor)),
+        TensorTerm(tuple(GLMonomial(f.segments) for f in term.factors)),
+        None,
+    ]
+    if blocks:
+        foreign = mono(seg(zeta, 0, shape[0] - 1))
+        bigger = GLMonomial(blocks[0].segments + (seg(rho, 9, 9),))
+        out += [TensorTerm((foreign, *blocks[1:], anchor)),
+                TensorTerm((bigger, *blocks[1:], anchor))]
+    return out
+
+
+def _sp_anchor(a: str) -> GUCuspidalLabel:
+    return GUCuspidalLabel("sigma", reducibility={RHO: HalfInt(a)}, twist_fixed={RHO})
+
+
+class TestCoefficient:
+    """``_coefficient`` against ``jacquet_by_shape(...).coefficient``."""
+
+    def test_matches_module_random(self):
+        rng = random.Random(7)
+        for g, shapes in _random_cases():
+            for mode in GroupMode:
+                for shape in shapes:
+                    module = jacquet_by_shape(g, shape, mode)
+                    terms = sorted(module.terms(), key=lambda t: t.key)
+                    targets = rng.sample(terms, min(len(terms), 40))
+                    base = rng.choice(terms) if terms else TensorTerm(
+                        tuple(mono(seg(RHO, 0, k - 1)) for k in shape)
+                        + (GUClass([], g.sigma),))
+                    targets += [base, *_absent_targets(g, shape, base)]
+                    for target in targets:
+                        assert _coefficient(g, shape, target, mode) \
+                            == module.coefficient(target), (g, shape, mode, target)
+
+    def test_matches_module_workload_patterns(self):
+        tau = CuspidalGLLabel("tau", dim=2)
+        patterns = {
+            "B": ([seg(RHO, 0, 2), seg(RHO, 1, 3)], [(1, 1), (2, 1)]),
+            "C": ([seg(RHO, 0, 1), seg(tau, 1, 2)], [(1, 2, 2), (2, 2, 2)]),
+            "D": ([seg(RHO, 0, 3), seg(RHO, 1, 4)], [(4, 4), (1, 1, 1, 1)]),
+            # A top made of pieces of the block, of the block's rank, that is
+            # not the block: d(1,1) x d(1,1) where d(1,1) x d(2,2) is wanted.
+            "points": ([seg(RHO, 1, 1)] * 3 + [seg(RHO, 2, 2)] * 3, [(2, 2, 2)]),
+        }
+        for name, (segments, shapes) in patterns.items():
+            g = GUClass(segments, SIGMA)
+            for mode in GroupMode:
+                for shape in shapes:
+                    module = jacquet_by_shape(g, shape, mode)
+                    for target in module.terms():
+                        assert _coefficient(g, shape, target, mode) \
+                            == module.coefficient(target), (name, shape, mode, target)
+
+    def test_matches_module_of_twisted_classes(self):
+        labels, sigma = make_mixed_labels()
+        twist = TwistTag((("tau", 1, HalfInt(1)), ("chi", -2, HalfInt(0))))
+        for segments in ([seg(labels[0], 0, 1), seg(labels[2], h(1), h(3))],
+                         [seg(labels[1], 1, 2), seg(labels[0], -1, 0)]):
+            g = GUClass(segments, sigma, twist)
+            for mode in GroupMode:
+                for shape in ((g.gl_rank,), (1, g.gl_rank - 1)):
+                    module = jacquet_by_shape(g, shape, mode)
+                    for target in module.terms():
+                        assert _coefficient(g, shape, target, mode) \
+                            == module.coefficient(target), (g, shape, mode, target)
+
+    @staticmethod
+    def _check_sp(entries, mode):
+        """Each entry's leading multiplicity is the module's coefficient,
+        and so are those of a few other terms of the same module."""
+        rng = random.Random(11)
+        for e in entries:
+            rep = e.inducing
+            shape = tuple(s.rank for s in rep.segments)
+            module = jacquet_by_shape(rep, shape, mode)
+            leading = TensorTerm(tuple(mono(s) for s in rep.segments)
+                                 + (GUClass((), rep.sigma),))
+            assert e.leading_multiplicity == module.coefficient(leading) == 1, e
+            terms = sorted(module.terms(), key=lambda t: t.key)
+            for target in rng.sample(terms, min(len(terms), 3)):
+                assert _coefficient(rep, shape, target, mode) \
+                    == module.coefficient(target), (e, target)
+
+    @pytest.mark.parametrize("a", ["1/2", "1", "3/2", "2"])
+    def test_enumerate_sp_data_up_to_seven(self, a):
+        for mode in GroupMode:
+            entries = enumerate_sp([RHO], _sp_anchor(a), 7, mode)
+            assert len(entries) == (8 if a in ("1/2", "1") else 28)
+            self._check_sp(entries, mode)
+
+    def test_two_label_data_up_to_three(self):
+        rho2 = CuspidalGLLabel("rho2")
+        sigma = GUCuspidalLabel("sigma", reducibility={RHO: HalfInt(2), rho2: h(3)},
+                                twist_fixed={RHO, rho2})
+        for mode in GroupMode:
+            entries = enumerate_sp([RHO, rho2], sigma, 3, mode)
+            assert len(entries) == 36
+            self._check_sp(entries, mode)
+
+    def test_leading_term_of_the_heavy_datum(self):
+        # Its module along (2,3,3,3) holds 1,030,128 terms with multiplicity,
+        # and the engine took 8 s to build it before reading a coefficient.
+        rho2 = CuspidalGLLabel("rho2")
+        g = GUClass([seg(RHO, 1, 2), seg(RHO, 2, 4), seg(rho2, h(1), h(5)),
+                     seg(rho2, h(3), h(7))], _sp_anchor("2"))
+        assert predicted_module_size(g, (2, 3, 3, 3)) == 1_030_128
+        for mode in GroupMode:
+            assert _leading_multiplicity(g, mode) == 1
+
+    def test_trivial_shape(self):
+        g = GUClass([seg(RHO, 1, 2)], SIGMA)
+        assert _coefficient(g, (), TensorTerm((g,))) == 1
+        assert _coefficient(g, [], TensorTerm((GUClass([], SIGMA),))) == 0
+        bare = GUClass([], SIGMA)
+        assert _coefficient(bare, (), TensorTerm((bare,))) == 1
+
+    def test_checks_are_those_of_jacquet_by_shape(self):
+        g = GUClass([seg(RHO, 1, 3)], SIGMA)
+        target = TensorTerm((mono(seg(RHO, 1, 3)), GUClass([], SIGMA)))
+        for shape in ((4,), (0,), (1.5,), "12", (True,), 2, None):
+            with pytest.raises(ShapeError) as want:
+                jacquet_by_shape(g, shape)
+            with pytest.raises(ShapeError) as got:
+                _coefficient(g, shape, target)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(KindMismatchError):
+            _coefficient(mono(seg(RHO, 1, 3)), (3,), target)
+        with pytest.raises(JacquetError):
+            _coefficient(g, (3,), target, "GL")
+
+    def test_term_cap_names_the_coefficient_layer(self, monkeypatch):
+        g = GUClass([seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)], SIGMA)
+        target = TensorTerm(tuple(mono(s) for s in g.segments) + (GUClass([], SIGMA),))
+        # mu* exceeds 10 terms at its second step; the pruned fold keeps
+        # at most 2 entries per segment and stays within the cap.
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "10")
+        with pytest.raises(TermLimitError):
+            jacquet_by_shape(g, (2, 2, 2))
+        assert _coefficient(g, (2, 2, 2), target) == 1
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "1")
+        with pytest.raises(TermLimitError) as err:
+            _coefficient(g, (2, 2, 2), target)
+        assert str(err.value).startswith("coefficient: folding d(0,1@rho), partial sum of")

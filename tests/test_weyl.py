@@ -84,6 +84,11 @@ class TestRoots:
             for i in range(1, n + 1):
                 assert length(simple_reflection(n, i)) == 1
 
+    @pytest.mark.parametrize("n, i", [("x", 1), (2, None), (2.0, 1), (True, 1)])
+    def test_simple_reflection_rejects_non_ints(self, n, i):
+        with pytest.raises(KindMismatchError, match="simple_reflection needs int"):
+            simple_reflection(n, i)
+
     def test_identity_length_zero(self):
         assert length(SignedPermutation.identity(4)) == 0
 
