@@ -41,7 +41,8 @@ class UnknownLabelError(JacquetError):
 
 class InvalidParamsError(JacquetError, ValueError):
     """A value of the right kind is out of range: a label's dim or rank,
-    ``conj_self_dual``, a reducibility point, a half-integer literal, or
+    ``conj_self_dual``, a mu* rank, a reducibility point, a half-integer
+    literal, or
     geometric parameters (n, i1, i2, d, k) violating their admissibility
     constraints.  It is also a ``ValueError``, the builtin raised for such
     input."""

@@ -245,20 +245,23 @@ def validate_lj(datum: LJDatum, strict: bool = False) -> LJValidation:
     return LJValidation(tuple(checks))
 
 
-def build_inducing_rep(datum: LJDatum, strict: bool = False) -> GUClass:
+def build_inducing_rep(datum: LJDatum, strict: bool = False, *,
+                       _segments=None) -> GUClass:
     """The canonical inducing class of a valid datum, with trivial twist.
 
     Warns when a contributing label lacks declared twist-fixedness, which
     the necessary conditions require for a strongly positive subclass to
-    exist at all.
+    exist at all.  ``_segments`` is for ``enumerate_sp``: the
+    ``segments()`` of each sequence of ``datum.jord``, already built.
     """
     report = validate_lj(datum, strict)
     if not report.ok:
         cond, message = report.first_violation
         raise InvalidDatumError(f"condition ({cond}) fails: {message}")
+    if _segments is None:
+        _segments = [j.segments() for j in datum.jord]
     segments = []
-    for j in datum.jord:
-        segs = j.segments()
+    for j, segs in zip(datum.jord, _segments):
         if segs and j.rho not in datum.sigma.twist_fixed:
             warnings.warn(
                 f"label {j.rho.name!r} is not declared twist-fixed on "
@@ -415,12 +418,16 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
             raise InvalidDatumError(
                 f"label {rho.name!r} fails the necessary conditions ({conditions})")
         per_label.append(enumerate_jord(rho, a, bound, strict))
+    # Each sequence recurs in many data: build its segments once.
+    segments_of = {j: j.segments() for jords in per_label for j in jords}
     entries = []
     for combo in itertools.product(*per_label):
         datum = LJDatum(combo, sigma)
-        rep = build_inducing_rep(datum, strict)
+        segments = [segments_of[j] for j in datum.jord]
+        rep = build_inducing_rep(datum, strict, _segments=segments)
         ok = all(
-            check_inducing_constraints(j.segments(), j.a) for j in datum.jord
+            check_inducing_constraints(segs, j.a)
+            for j, segs in zip(datum.jord, segments)
         )
         entries.append(SPEntry(datum, rep, ok, _leading_multiplicity(rep, mode)))
     return entries

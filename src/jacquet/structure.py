@@ -13,10 +13,12 @@ This module computes, entirely at the level of formal classes:
   pushed onto the anchor, and in GU mode the dualized factor contributes a
   central-character twist (U mode contributes none);
 * ``mu_star``    -- the full structure formula, folding the pairing over
-  the segment list of a class;
+  the segment list of a class, or its rank-k part alone: the terms whose
+  GL factor has rank k, the Jacquet module along the maximal parabolic of
+  GL rank k;
 * ``jacquet_by_shape`` -- the semisimplified Jacquet module along a
-  shape, a tuple of GL block ranks in order: the ``mu_star`` terms whose
-  GL factor has the shape's total rank, with that factor cut into blocks
+  shape, a tuple of GL block ranks in order: the rank part of ``mu_star``
+  at the shape's total rank, with each GL factor cut into blocks
   directly, one block at a time, taking from each segment only the top
   pieces whose ranks add up to the block's rank;
 * ``_coefficient`` -- one coefficient of that module, without building
@@ -37,15 +39,19 @@ and ``mu_star`` run one fold kernel, ``_fold``, which numbers every
 segment its steps can produce and, at every step but the last, merges
 terms in a dict keyed by id tuples and an anchor id, one per anchor twist
 with its nu sums; terms equal up to nu merge only in the last step, by
-their public keys.
+their public keys.  Asked for one GL rank, the fold computes first the
+reach of each step, the ranks the steps from it on can still add, keeps
+its terms in one bucket per GL rank, and skips every (M* entry, bucket)
+pair from which that rank is out of reach; only the rank asked for is
+ever built.  ``jacquet_by_shape`` and ``_coefficient`` fold that way, at
+the shape's total rank.
 ``jacquet_by_shape`` numbers, before any cut, the sub-segments of the
 class's segments and of their duals: every piece a mu* GL factor or a
-cut of one can hold.  Its rank filter adds up ranks read once per id; a
-segment's m* cuts become a table of (top rank, top ids, bottom ids) when
-first needed, and the per-call memo of block cuts is keyed on (id tuple,
-remaining blocks), or on (id tuple, block index) for a coefficient.  Every
-fold step, split and output checks JACQUET_MAX_TERMS as each new term
-enters it.
+cut of one can hold.  A segment's m* cuts become a table of (top rank,
+top ids, bottom ids) when first needed, and the per-call memo of block
+cuts is keyed on (id tuple, remaining blocks), or on (id tuple, block
+index) for a coefficient.  Every fold step, split and output checks
+JACQUET_MAX_TERMS as each new term enters it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,14 @@ import enum
 from itertools import chain
 from typing import Sequence
 
-from .errors import JacquetError, KindMismatchError, SegmentError, ShapeError, _checked
+from .errors import (
+    InvalidParamsError,
+    JacquetError,
+    KindMismatchError,
+    SegmentError,
+    ShapeError,
+    _checked,
+)
 from .grothendieck import (
     FormalSum,
     GLMonomial,
@@ -190,7 +203,8 @@ def mstar_big(x) -> FormalSum:
     return _comultiply(x, 3)
 
 
-def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalSum:
+def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
+          rank: int | None = None) -> FormalSum:
     """Fold the twisted pairing over ``steps``, starting from ``start``.
 
     ``steps`` is a list of (segment or None, entries); an entry is
@@ -208,10 +222,21 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     sharing each anchor factor among its terms, and merges them by their
     public keys, which leave nu out.
 
+    With ``rank``, the fold returns only the terms whose GL factor has
+    that rank, and builds no other.  An entry adds the rank of its
+    dualized first and second pieces to a term's GL rank, so before the
+    fold ``reach[i]`` is the set of ranks that steps i, i+1, ... can still
+    add.  The accumulator is bucketed by GL rank, and an (entry, bucket)
+    pair is skipped as soon as ``rank`` is out of its reach; the last step
+    reads only the bucket that lands on ``rank``.  Without ``rank`` the
+    accumulator is one bucket and no rank is added up.
+
     The entries are walked outer and the accumulator inner, and a merged
     term keeps the first term built, so the nu sums a merged twist shows
-    are those of the object-level fold.  ``layer`` names the caller in the
-    ``TermLimitError`` raised as soon as a step grows past the cap.
+    are those of the object-level fold; a skipped pair builds no term of
+    the rank asked for, so the slice keeps that order too.  ``layer``
+    names the caller in the ``TermLimitError`` raised as soon as a step
+    grows past the cap.
     """
     segs, keys, ids = _numbering(chain(
         (p for tt in start.terms() for f in tt.factors for p in f.segments),
@@ -222,13 +247,24 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         return tuple(ids[p.key] for p in segments)
 
     twists = mode is GroupMode.GU
-    plans = []            # per step: (what, [(low ids, mid ids, twist or None, mult)])
+    ranked = rank is not None
+    # per step: (what, [(low ids, mid ids, twist or None, mult, GL rank or None)])
+    plans = []
     for folded, entries in steps:
         where = f" folding {folded}," if folded is not None else ""
         what = f"{layer}:{where} partial sum"    # what a TermLimitError names
-        plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm)
+        plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm,
+                 sum(p.rank for p in dual + second) if ranked else None)
                 for (_, second, third, dual, omega), cm in entries]
         plans.append((what, plan))
+    # reach[i]: the GL ranks steps i, i+1, ... can still add, for i >= 1;
+    # None without ``rank``
+    reach: list = [None] * (len(plans) + 1)
+    if ranked:
+        reach[-1] = {0}
+        for i in range(len(plans) - 1, 0, -1):
+            adds = {r for *_, r in plans[i][1]}
+            reach[i] = {r + later for r in adds for later in reach[i + 1]}
 
     reps: list = []       # rep id -> (anchor label, twist)
     rep_ids: dict = {}    # (label name, twist entries) -> rep id
@@ -240,11 +276,12 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
             reps.append((sigma, twist))
         return rid
 
-    acc: dict = {}
+    acc: dict = {}        # GL rank, or None without ``rank`` -> bucket
     for tt, ct in start.items():
         pi4, anchor = tt.factors
-        acc[(id_tuple(pi4.segments), id_tuple(anchor.segments),
-             intern(anchor.sigma, anchor.twist))] = ct
+        bucket = acc.setdefault(pi4.rank if ranked else None, {})
+        bucket[(id_tuple(pi4.segments), id_tuple(anchor.segments),
+                intern(anchor.sigma, anchor.twist))] = ct
 
     def mover(omega, moved_by: dict):
         """rep id -> rep id once the twist ``omega`` of a first piece has
@@ -255,28 +292,38 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
         moved = moved_by.get(omega.entries)
         if moved is None:
             moved = moved_by[omega.entries] = {}
-            for rid in {rid for _, _, rid in acc}:
+            for rid in {rid for bucket in acc.values() for _, _, rid in bucket}:
                 sigma, twist = reps[rid]
                 moved[rid] = intern(sigma, _absorb_fixed(sigma, twist.merge(omega)))
         return moved
 
     cap = _max_terms()
-    for what, plan in plans[:-1]:
+    for (what, plan), later in zip(plans[:-1], reach[1:]):
         nxt: dict = {}
+        size = 0          # terms in nxt
         moved_by: dict = {}
-        for low, mid, omega, cm in plan:
+        for low, mid, omega, cm, r in plan:
             moved = mover(omega, moved_by)
-            for (gl, gu, rid), ct in acc.items():
-                if moved is not None:
-                    rid = moved[rid]
-                key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), rid)
-                old = nxt.get(key)
-                if old is None:
-                    nxt[key] = cm * ct
-                    if len(nxt) > cap:
-                        raise _over_cap(what, len(nxt), cap)
-                else:
-                    nxt[key] = old + cm * ct
+            for total, bucket in acc.items():
+                if later is not None:
+                    total += r
+                    if rank - total not in later:
+                        continue
+                into = nxt.get(total)
+                if into is None:
+                    into = nxt[total] = {}
+                for (gl, gu, rid), ct in bucket.items():
+                    if moved is not None:
+                        rid = moved[rid]
+                    key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), rid)
+                    old = into.get(key)
+                    if old is None:
+                        into[key] = cm * ct
+                        size += 1
+                        if size > cap:
+                            raise _over_cap(what, size, cap)
+                    else:
+                        into[key] = old + cm * ct
         acc = nxt
 
     what, plan = plans[-1]
@@ -285,9 +332,12 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str) -> FormalS
     gus: dict = {}        # (GU ids, rep id) -> GUClass
     moved_by = {}
     out: dict = {}
-    for low, mid, omega, cm in plan:
+    for low, mid, omega, cm, r in plan:
+        bucket = acc.get(rank - r if ranked else None)
+        if bucket is None:
+            continue
         moved = mover(omega, moved_by)
-        for (gl, gu, rid), ct in acc.items():
+        for (gl, gu, rid), ct in bucket.items():
             if moved is not None:
                 rid = moved[rid]
             gl = tuple(sorted(low + gl))
@@ -330,9 +380,18 @@ def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
     return _fold([(None, entries)], t, mode, "twisted_rtimes")
 
 
+def _check_rank(where: str, rank, gl_rank: int) -> None:
+    """Raise ``KindMismatchError`` for a ``rank`` that is not an int (a
+    bool included) and ``InvalidParamsError`` for one outside 0..gl_rank."""
+    _checked(where, int, (rank,))
+    if not 0 <= rank <= gl_rank:
+        raise InvalidParamsError(f"{where} needs a rank in 0..{gl_rank}, got {rank}")
+
+
 def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
                         twist: TwistTag = TRIVIAL_TWIST,
-                        mode: GroupMode = GroupMode.GU) -> FormalSum:
+                        mode: GroupMode = GroupMode.GU,
+                        rank: int | None = None) -> FormalSum:
     """Fold the structure formula over an explicitly ordered segment list.
 
     The result does not depend on the order; exposing the order makes that
@@ -340,21 +399,37 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     terms whose twists differ only in ``nu`` merge, the term shows the
     ``nu`` of the first one folded, so an equal sum can print other ``nu``
     values in another order; ``mu_star`` folds in canonical order.
+
+    With an int ``rank``, only the terms whose GL factor has that rank are
+    folded and returned, the same terms ``mu_star`` keeps (see there).
     """
     segments = _checked("mu_star_of_segments", Segment, segments)
     mode = GroupMode(mode)
+    if rank is not None:
+        _check_rank("mu_star_of_segments", rank, sum(s.rank for s in segments))
     start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
     if not segments:
         return start
     steps = [(seg, [(entry, 1) for entry in _cuts(seg)[1]]) for seg in segments]
-    return _fold(steps, start, mode, "mu_star")
+    return _fold(steps, start, mode, "mu_star", rank)
 
 
-def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU) -> FormalSum:
+def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU,
+            rank: int | None = None) -> FormalSum:
     """The structure formula: a sum of (GL factor, anchor factor) terms
-    whose ranks always add up to the rank of ``g``."""
+    whose ranks always add up to the rank of ``g``.
+
+    With an int ``rank`` in 0..``g.gl_rank``, the rank-``rank`` part of it:
+    the terms whose GL factor has that rank, i.e. the Jacquet module along
+    the maximal parabolic of GL rank ``rank``.  Only the partial terms
+    that can still reach that rank are folded.  A ``rank`` that is not an
+    int raises ``KindMismatchError``, one out of range
+    ``InvalidParamsError``.
+    """
     _checked("mu_star", GUClass, (g,))
-    return mu_star_of_segments(g.segments, g.sigma, g.twist, mode)
+    if rank is not None:
+        _check_rank("mu_star", rank, g.gl_rank)
+    return mu_star_of_segments(g.segments, g.sigma, g.twist, mode, rank)
 
 
 class _BlockCutter:
@@ -514,12 +589,10 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     cutter = _BlockCutter(g, cap)
     anchors: dict = {}    # anchor key -> anchor id
     out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
-    id_of, rank_of = cutter.ids.__getitem__, cutter.ranks.__getitem__
-    for term, c in mu_star(g, mode).items():
+    id_of = cutter.ids.__getitem__
+    for term, c in mu_star(g, mode, total).items():
         gl, gu = term.factors
         ids = tuple(map(id_of, gl.key))
-        if sum(map(rank_of, ids)) != total:
-            continue
         anchor = anchors.setdefault(gu.key, len(anchors))
         for parts, c2 in cutter.split(ids, shape):
             key = (parts, anchor)
@@ -561,7 +634,8 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     on the anchor, is not a segment of the target's anchor, or when its
     dualized first and second pieces hold some (label, exponent) more
     often than the target's blocks do (cutting keeps that multiset).  The
-    kept entries are folded by ``_fold``; each folded term with the
+    kept entries are folded by ``_fold`` at the shape's total rank, so
+    only terms that can reach it are followed; each folded term with the
     target's anchor is cut by ``_BlockCutter.count``, which follows only
     the target's block at each step.  Raises what ``jacquet_by_shape``
     raises for ``g``, ``shape`` and ``mode``; a ``TermLimitError`` names
@@ -602,7 +676,7 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     steps = [(s, [(entry, 1) for entry in _cuts(s)[1] if fits(entry)]) for s in g.segments]
     if not all(entries for _, entries in steps):
         return 0
-    folded = _fold(steps, start, mode, "coefficient") if steps else start
+    folded = _fold(steps, start, mode, "coefficient", sum(shape)) if steps else start
     id_of, out = ids.__getitem__, 0
     for term, c in folded.items():
         gl, gu = term.factors

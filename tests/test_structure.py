@@ -16,6 +16,7 @@ from jacquet import (
     GUClass,
     GUCuspidalLabel,
     HalfInt,
+    InvalidParamsError,
     JacquetError,
     KindMismatchError,
     SegmentError,
@@ -519,6 +520,64 @@ class TestConcurrency:
         assert len({l.name for l in labels}) == 5
 
 
+def _rank_part(mu: FormalSum, rank: int) -> FormalSum:
+    """The terms of ``mu`` whose GL factor has rank ``rank``, each as ``mu``
+    shows it."""
+    return FormalSum._from_terms({t: c for t, c in mu.items() if t.factors[0].rank == rank})
+
+
+class TestMuStarByRank:
+    """``mu_star(g, mode, k)`` against the rank-k part of the whole fold."""
+
+    def test_matches_rank_part_random(self):
+        for g, _ in _random_cases():
+            for mode in GroupMode:
+                mu = mu_star(g, mode)
+                for k in range(g.gl_rank + 1):
+                    part = mu_star(g, mode, k)
+                    assert _same_output(part, _rank_part(mu, k)), (g, mode, k)
+                    if k:
+                        assert _same_output(part, jacquet_by_shape(g, (k,), mode)), \
+                            (g, mode, k)
+
+    @pytest.mark.slow
+    def test_matches_rank_part_in_every_order(self):
+        # The 3,082-term chi class, where terms whose twists differ only in
+        # nu merge: each order and rank pins the nu a merged twist shows.
+        (_, _, chi), sigma = make_mixed_labels()
+        chid = chi.dual()
+        segments = [seg(chid, -1, 1), seg(chi, -1, 1), seg(chid, 0, 1), seg(chi, -1, 0)]
+        gl_rank = sum(s.rank for s in segments)
+        for order in itertools.permutations(segments):
+            for mode in GroupMode:
+                mu = mu_star_of_segments(order, sigma, mode=mode)
+                for k in range(gl_rank + 1):
+                    part = mu_star_of_segments(order, sigma, mode=mode, rank=k)
+                    assert _same_output(part, _rank_part(mu, k)), (order, mode, k)
+
+    def test_rank_of_a_bare_anchor(self):
+        g = GUClass([], SIGMA)
+        assert mu_star(g, GroupMode.GU, 0) == mu_star(g)
+        assert mu_star_of_segments([], SIGMA, rank=0) == mu_star(g)
+
+    def test_bad_ranks_are_typed_errors(self):
+        g = GUClass([seg(RHO, 0, 1), seg(CHI, 1, 2)], SIGMA)
+        calls = {
+            "mu_star": lambda rank: mu_star(g, GroupMode.GU, rank),
+            "mu_star_of_segments":
+                lambda rank: mu_star_of_segments(g.segments, SIGMA, TRIVIAL_TWIST,
+                                                 GroupMode.GU, rank),
+        }
+        for name, call in calls.items():
+            for junk in ("x", 1.5, True, False, [], object(), {"a": 1}, ["x"], (1.5,)):
+                with pytest.raises(KindMismatchError, match=name):
+                    call(junk)
+            for out_of_range in (-1, 5, 10**6):
+                with pytest.raises(InvalidParamsError, match=name):
+                    call(out_of_range)
+            assert call(4) == _rank_part(mu_star(g), 4)
+
+
 def _compositions(n):
     """Every ordered tuple of positive ints summing to n."""
     for cuts in itertools.product((False, True), repeat=n - 1):
@@ -657,6 +716,19 @@ class TestJacquetByShape:
         assert str(err.value).startswith(
             "jacquet_by_shape: partial module of 7001 terms exceeds "
             "JACQUET_MAX_TERMS (7000 terms)")
+
+    def test_term_cap_counts_only_the_rank_slice(self, monkeypatch):
+        # The whole mu* of pattern A has 216 terms and stops at 61; the
+        # module along (6,) folds only its 27 terms of GL rank 6.
+        g = GUClass([seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)], SIGMA)
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "60")
+        assert len(jacquet_by_shape(g, (6,))) == 27
+        with pytest.raises(TermLimitError, match="partial sum of 61 terms"):
+            mu_star(g)
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
+        with pytest.raises(TermLimitError) as err:
+            jacquet_by_shape(g, (6,))
+        assert str(err.value).startswith("mu_star: folding d(1,2@rho), partial sum of 6 terms")
 
     @pytest.mark.slow
     def test_matches_unpruned_oracle_random(self):
