@@ -28,7 +28,6 @@ __all__ = [
     "GUClass",
     "TensorTerm",
     "FormalSum",
-    "gl_multiply",
     "tensor_multiply",
     "sum_to_obj",
 ]
@@ -108,11 +107,6 @@ class GLMonomial(Keyed):
 
     def dual(self) -> "GLMonomial":
         return GLMonomial(s.dual() for s in self.segments)
-
-    def __mul__(self, other: "GLMonomial") -> "GLMonomial":
-        if not isinstance(other, GLMonomial):
-            return NotImplemented
-        return GLMonomial(self.segments + other.segments)
 
     def __str__(self):
         return _product_text(self.segments)
@@ -283,7 +277,12 @@ class FormalSum(Keyed):
         return sorted(self._terms.items(), key=lambda kv: kv[0].key)
 
     def coefficient(self, term: Monomial) -> int:
-        return self._terms.get(term, 0)
+        """0 for a term not in the sum, a hashable non-monomial included."""
+        try:
+            return self._terms.get(term, 0)
+        except TypeError:  # unhashable, so not a monomial
+            _checked("coefficient", (GLMonomial, GUClass, TensorTerm), (term,))
+            raise
 
     def total_multiplicity(self) -> int:
         """Sum of all multiplicities (the pre-merge term count for
@@ -319,14 +318,7 @@ class FormalSum(Keyed):
             return FormalSum.zero()
         return FormalSum._from_terms({t: scalar * m for t, m in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        if isinstance(other, FormalSum):
-            if self.kind == ("gl",) or other.kind == ("gl",):
-                return gl_multiply(self, other)
-            return tensor_multiply(self, other)
-        return NotImplemented
+    __mul__ = __rmul__
 
     def __len__(self):
         return len(self._terms)
@@ -356,48 +348,9 @@ class FormalSum(Keyed):
         return f"FormalSum({len(self._terms)} terms)"
 
 
-def _as_gl_sum(x) -> FormalSum:
-    if isinstance(x, FormalSum):
-        if x.kind not in (None, ("gl",)):
-            raise KindMismatchError("expected a sum over GL monomials")
-        return x
-    if isinstance(x, GLMonomial):
-        return FormalSum.of(x)
-    if isinstance(x, Segment):
-        return FormalSum.of(GLMonomial((x,)))
-    raise KindMismatchError(f"not a GL element: {x!r}")
-
-
-def _bilinear(x: FormalSum, y: FormalSum, product, layer: str) -> dict:
-    """{product(tx, ty): sum of cx * cy} over the terms of ``x`` and ``y``,
-    raising ``TermLimitError`` as soon as a new term takes it past the cap."""
-    cap = _max_terms()
-    out: dict = {}
-    for tx, cx in x.items():
-        for ty, cy in y.items():
-            t = product(tx, ty)
-            old = out.get(t)
-            if old is None:
-                if len(out) >= cap:
-                    raise _over_cap(f"{layer}: partial product", len(out) + 1, cap)
-                out[t] = cx * cy
-            else:
-                out[t] = old + cx * cy
-    return out
-
-
-def gl_multiply(x, y) -> FormalSum:
-    """Bilinear extension of monomial concatenation in the GL ring."""
-    xs, ys = _as_gl_sum(x), _as_gl_sum(y)
-    return FormalSum._from_terms(_bilinear(xs, ys, GLMonomial.__mul__, "gl_multiply"))
-
-
-def _componentwise(tx: TensorTerm, ty: TensorTerm) -> TensorTerm:
-    return TensorTerm(a * b for a, b in zip(tx.factors, ty.factors))
-
-
 def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
-    """Componentwise GL product of two tensor sums of equal arity."""
+    """Componentwise GL product of two tensor sums of equal arity, bilinear;
+    raises ``TermLimitError`` as soon as a new term takes it past the cap."""
     _checked("tensor_multiply", FormalSum, (x, y))
     if x.is_zero or y.is_zero:
         return FormalSum.zero()
@@ -406,7 +359,20 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
-    return FormalSum._from_terms(_bilinear(x, y, _componentwise, "tensor_multiply"))
+    cap = _max_terms()
+    out: dict = {}
+    for tx, cx in x.items():
+        for ty, cy in y.items():
+            t = TensorTerm(GLMonomial(a.segments + b.segments)
+                           for a, b in zip(tx.factors, ty.factors))
+            old = out.get(t)
+            if old is None:
+                if len(out) >= cap:
+                    raise _over_cap("tensor_multiply: partial product", len(out) + 1, cap)
+                out[t] = cx * cy
+            else:
+                out[t] = old + cx * cy
+    return FormalSum._from_terms(out)
 
 
 # ---------------------------------------------------------------------------

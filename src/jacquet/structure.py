@@ -2,11 +2,11 @@
 
 This module computes, entirely at the level of formal classes:
 
-* ``mstar_gl``   -- the two-factor GL comultiplication of a segment class,
-  m*(d([a,b])) = sum_i d([i+1,b]) (x) d([a,i]);
-* ``mstar_big``  -- the three-factor comultiplication
-  M*(d([a,b])) = sum_{i<=j} d([a,i]) (x) d([j+1,b]) (x) d([i+1,j]),
-  extended multiplicatively to products and linearly to sums;
+* ``mstar_gl``   -- the two-factor GL comultiplication,
+  m*(d([a,b])) = sum_i d([i+1,b]) (x) d([a,i]), and ``mstar_big``, the
+  three-factor M*(d([a,b])) = sum_{i<=j} d([a,i]) (x) d([j+1,b]) (x)
+  d([i+1,j]), both read off the block split of a monomial (m* is
+  multiplicative and coassociative) and extended linearly to sums;
 * ``twisted_rtimes`` -- the pairing that assembles a three-factor GL term
   with a (GL, GU) term: the first factor is dualized and lands in the GL
   slot together with the second and fourth factors, the third factor is
@@ -27,8 +27,9 @@ This module computes, entirely at the level of formal classes:
 Every cut of a segment comes from ``_cuts``, the one process-wide memo
 here: a table of the segment's m* cuts, its M* terms (with the dual and
 twist of their first piece) and its sub-segments with their duals, built
-once per segment and label.  ``mstar_gl``, ``mstar_big``, the fold and
-the block split all read it.
+once per segment and label.  The fold reads the M* terms; the block split
+reads the m* cuts, for ``jacquet_by_shape``, ``_coefficient``,
+``mstar_gl`` and ``mstar_big`` alike.
 All functions are pure; the table only saves work.
 
 Both hot loops run on segment ids within one call, numbered by
@@ -45,12 +46,12 @@ its terms in one bucket per GL rank, and skips every (M* entry, bucket)
 pair from which that rank is out of reach; only the rank asked for is
 ever built.  ``jacquet_by_shape`` and ``_coefficient`` fold that way, at
 the shape's total rank.
-``jacquet_by_shape`` numbers, before any cut, the sub-segments of the
-class's segments and of their duals: every piece a mu* GL factor or a
-cut of one can hold.  A segment's m* cuts become a table of (top rank,
-top ids, bottom ids) when first needed, and the per-call memo of block
-cuts is keyed on (id tuple, remaining blocks), or on (id tuple, block
-index) for a coefficient.  Every fold step, split and output checks
+``_BlockCutter`` numbers, before any cut, the sub-segments of the given
+segments and of their duals: every piece a mu* GL factor or a cut of one
+can hold.  A segment's m* cuts become a table of (top rank, top ids,
+bottom ids) when first needed, and the per-call memo of block cuts is
+keyed on (id tuple, remaining blocks), or on (id tuple, block index) for
+a coefficient.  Every fold step, split and output checks
 JACQUET_MAX_TERMS as each new term enters it.
 """
 
@@ -76,7 +77,6 @@ from .grothendieck import (
     _absorb_fixed,
     _max_terms,
     _over_cap,
-    tensor_multiply,
 )
 from .scalars import HalfInt, TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
 from .segments import Segment
@@ -127,10 +127,10 @@ def _cuts(seg: Segment) -> tuple:
     built once.
 
     The m* cuts are (top, bottom) = (d([b-l+1,b]), d([a,b-l])) for top
-    length l = 0 .. length, rising.  The M* terms are (first, second,
-    third, dual of first, twist of first) = (d([a,i]), d([j+1,b]),
-    d([i+1,j]), d([a,i])^dual, omega) for a-1 <= i <= j <= b, i outer; the
-    twist is None when the first piece is empty.  Every piece is a tuple
+    length l = 0 .. length, rising.  The M* terms are (second, third, dual
+    of first, twist of first) = (d([j+1,b]), d([i+1,j]), d([a,i])^dual,
+    omega) for a-1 <= i <= j <= b, i outer; the twist is None when the
+    first piece d([a,i]) is empty.  Every piece is a tuple
     of at most one segment (an empty piece has none).  The sub-segments
     are the nonempty pieces d([i,j]) and their duals: every segment a cut
     of the segment or of its dual can hold.
@@ -158,7 +158,7 @@ def _cuts(seg: Segment) -> tuple:
             first = piece[0, p]
             dual = tuple(s.dual() for s in first)
             omega = _omega_of(first) if first else None
-            big += [(first, piece[q, n], piece[p, q], dual, omega) for q in range(p, n + 1)]
+            big += [(piece[q, n], piece[p, q], dual, omega) for q in range(p, n + 1)]
         subs = [s for pieces in piece.values() for s in pieces]
         subs += [s.dual() for s in subs]
         found = _CUTS[key] = (gl, big, subs)
@@ -174,33 +174,57 @@ def _numbering(segments) -> tuple:
     return [by_key[k] for k in keys], keys, {k: i for i, k in enumerate(keys)}
 
 
-def _comultiply(x, arity: int) -> FormalSum:
-    """m* (arity 2) or M* (arity 3) of ``x``, from the segments' cut
-    tables, extended multiplicatively and linearly."""
+def _comultiply(x, arity: int, layer: str) -> FormalSum:
+    """m* (arity 2) or M* (arity 3) of ``x``, read off the block split.
+
+    m* is multiplicative and coassociative, so the cuts of a GL monomial
+    into ``arity`` ordered blocks, along every composition of its rank,
+    are m* applied ``arity - 1`` times; M* moves the last block, the
+    pieces d([a,i]), to the front.  Linear over a sum of GL monomials.
+    ``layer`` names the caller in the ``TermLimitError`` raised as soon as
+    the output, or a split on the way to it, grows past the cap.
+    """
     if isinstance(x, Segment):
-        return FormalSum((TensorTerm(tuple(map(GLMonomial, cut[:arity]))), 1)
-                         for cut in _cuts(x)[arity - 2])
-    if isinstance(x, GLMonomial):
-        acc = FormalSum.of(TensorTerm((GLMonomial.unit(),) * arity))
-        for seg in x.segments:
-            acc = tensor_multiply(acc, _comultiply(seg, arity))
-        return acc
-    if isinstance(x, FormalSum):
-        acc = FormalSum.zero()
-        for mono, mult in x.items():
-            acc = acc + mult * _comultiply(mono, arity)
-        return acc
-    raise KindMismatchError(f"cannot comultiply {x!r}")
+        monos = [((x,), 1)]
+    elif isinstance(x, GLMonomial):
+        monos = [(x.segments, 1)]
+    elif isinstance(x, FormalSum) and x.kind in (None, ("gl",)):
+        monos = [(m.segments, c) for m, c in x.items()]
+    else:
+        raise KindMismatchError(f"cannot comultiply {x!r}")
+    cutter = _BlockCutter([s for segs, _ in monos for s in segs], f"{layer}: partial sum")
+    id_of, cap = cutter.ids.__getitem__, cutter.cap
+    out: dict = {}        # block ids -> multiplicity
+    for segs, c in monos:
+        ids = tuple(id_of(s.key) for s in segs)
+        rank = sum(s.rank for s in segs)
+        shapes = [(r, rank - r) for r in range(rank + 1)]
+        if arity == 3:
+            shapes = [(r1, r2, rest - r2) for r1, rest in shapes for r2 in range(rest + 1)]
+        for shape in shapes:
+            for parts, c2 in cutter.split(ids, shape):
+                parts = parts[2:] + parts[:2]   # M*: the last block moves to the front
+                old = out.get(parts)
+                if old is None:
+                    if len(out) >= cap:
+                        raise _over_cap(cutter.what, len(out) + 1, cap)
+                    out[parts] = c * c2
+                else:
+                    out[parts] = old + c * c2
+    mono_at, key_at = cutter.monomials()
+    return FormalSum._from_terms({
+        TensorTerm._trusted(tuple(map(mono_at, parts)), tuple(map(key_at, parts))): m
+        for parts, m in out.items()})
 
 
 def mstar_gl(x) -> FormalSum:
     """Two-factor comultiplication; the first slot takes the top piece."""
-    return _comultiply(x, 2)
+    return _comultiply(x, 2, "mstar_gl")
 
 
 def mstar_big(x) -> FormalSum:
     """Three-factor comultiplication, multiplicative over products."""
-    return _comultiply(x, 3)
+    return _comultiply(x, 3, "mstar_big")
 
 
 def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
@@ -208,7 +232,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
     """Fold the twisted pairing over ``steps``, starting from ``start``.
 
     ``steps`` is a list of (segment or None, entries); an entry is
-    ((first, second, third, dual of first, twist of first or None),
+    ((second, third, dual of first, twist of first or None),
     multiplicity), the pieces as segment tuples, the way ``_cuts`` holds
     the M* terms of a segment.  Each step computes
     ``twisted_rtimes(sum of the entries, acc, mode)``.  Every segment the
@@ -241,7 +265,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
     segs, keys, ids = _numbering(chain(
         (p for tt in start.terms() for f in tt.factors for p in f.segments),
         (p for _, entries in steps
-         for (_, second, third, dual, _), _ in entries for p in dual + second + third)))
+         for (second, third, dual, _), _ in entries for p in dual + second + third)))
 
     def id_tuple(segments) -> tuple:
         return tuple(ids[p.key] for p in segments)
@@ -255,7 +279,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
         what = f"{layer}:{where} partial sum"    # what a TermLimitError names
         plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm,
                  sum(p.rank for p in dual + second) if ranked else None)
-                for (_, second, third, dual, omega), cm in entries]
+                for (second, third, dual, omega), cm in entries]
         plans.append((what, plan))
     # reach[i]: the GL ranks steps i, i+1, ... can still add, for i >= 1;
     # None without ``rank``
@@ -375,8 +399,7 @@ def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
     for tm, cm in m.items():
         pi1, pi2, pi3 = tm.factors
         omega = _omega_of(pi1.segments) if pi1.segments else None
-        entries.append(((pi1.segments, pi2.segments, pi3.segments,
-                         pi1.dual().segments, omega), cm))
+        entries.append(((pi2.segments, pi3.segments, pi1.dual().segments, omega), cm))
     return _fold([(None, entries)], t, mode, "twisted_rtimes")
 
 
@@ -433,18 +456,19 @@ def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU,
 
 
 class _BlockCutter:
-    """Block cuts of GL monomials for one ``jacquet_by_shape`` or
-    ``_coefficient`` call on ``g``.
+    """Block cuts of GL monomials for one call of ``jacquet_by_shape``,
+    ``_coefficient``, ``mstar_gl`` or ``mstar_big`` on ``segments``.
 
     Every segment a cut can produce has its ``_numbering`` id up front, so
     a GL monomial is a sorted tuple of ids, and every block a cut produces
     gets an int id too.  The memo and merge dicts hash plain int tuples.
+    A split past the cap raises a ``TermLimitError`` naming ``what``.
     """
 
-    def __init__(self, g: GUClass, cap: int):
-        self.cap = cap
+    def __init__(self, segments, what: str):
+        self.cap, self.what = _max_terms(), what
         self.segments, self.keys, self.ids = _numbering(
-            p for s in g.segments for p in _cuts(s)[2])
+            p for s in segments for p in _cuts(s)[2])
         self.ranks = [s.rank for s in self.segments]  # segment id -> rank
         self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
@@ -455,11 +479,14 @@ class _BlockCutter:
     def block(self, ids: tuple) -> int:
         return self.block_ids.setdefault(ids, len(self.block_ids))
 
-    def monomials(self) -> list:
-        """Block id -> public ``GLMonomial``."""
+    def monomials(self) -> tuple:
+        """(block id -> public ``GLMonomial``, block id -> its key), once
+        every cut is made: the memo is freed first."""
+        self.memo.clear()
         seg_at, key_at = self.segments.__getitem__, self.keys.__getitem__
-        return [GLMonomial._trusted(tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
-                for ids in self.block_ids]
+        monos = [GLMonomial._trusted(tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
+                 for ids in self.block_ids]
+        return monos.__getitem__, [m.key for m in monos].__getitem__
 
     def table(self, i: int) -> list:
         """[(rank, top, bottom)] of segment ``i`` for each m* cut, by
@@ -524,9 +551,8 @@ class _BlockCutter:
                     old = out.get(parts)
                     if old is None:
                         if len(out) >= cap:
-                            # The cuts of one mu* term are distinct module terms.
-                            raise _over_cap("jacquet_by_shape: partial module",
-                                            len(out) + 1, cap)
+                            # The cuts of one monomial are distinct output terms.
+                            raise _over_cap(self.what, len(out) + 1, cap)
                         out[parts] = c * c2
                     else:
                         out[parts] = old + c * c2
@@ -585,8 +611,8 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     """
     shape, mode = _query("jacquet_by_shape", g, shape, mode)
     total = sum(shape)
-    cap = _max_terms()
-    cutter = _BlockCutter(g, cap)
+    cutter = _BlockCutter(g.segments, "jacquet_by_shape: partial module")
+    cap = cutter.cap
     anchors: dict = {}    # anchor key -> anchor id
     out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
     id_of = cutter.ids.__getitem__
@@ -599,16 +625,11 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
             entry = out.get(key)
             if entry is None:
                 if len(out) >= cap:
-                    raise _over_cap("jacquet_by_shape: partial module", len(out) + 1, cap)
+                    raise _over_cap(cutter.what, len(out) + 1, cap)
                 out[key] = [c * c2, gu]
             else:
                 entry[0] += c * c2
-    # Every cut is made: free the memo before the output is built, so the
-    # two never take memory at the same time.
-    cutter.memo.clear()
-    monos = cutter.monomials()
-    mono_at = monos.__getitem__
-    key_at = [m.key for m in monos].__getitem__
+    mono_at, key_at = cutter.monomials()
     terms: dict = {}
     for (parts, _), (m, gu) in out.items():
         factors = tuple(map(mono_at, parts)) + (gu,)
@@ -648,7 +669,7 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     *blocks, anchor = target.factors
     if [b.rank for b in blocks] != list(shape):
         return 0
-    cutter = _BlockCutter(g, _max_terms())
+    cutter = _BlockCutter(g.segments, "coefficient: partial module")
     ids = cutter.ids
     if any(k not in ids for b in blocks for k in b.key):
         return 0
@@ -657,7 +678,7 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     support = _exponents(p for b in blocks for p in b.segments)
 
     def fits(entry) -> bool:
-        _, second, third, dual, _ = entry
+        second, third, dual, _ = entry
         if third and third[0].key not in on_anchor:
             return False
         need: dict = {}

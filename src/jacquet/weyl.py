@@ -75,7 +75,10 @@ class SignedPermutation(Keyed):
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
-        return cls(range(1, n + 1))
+        _checked("identity", int, (n,))
+        if n < 0:
+            raise InvalidParamsError(f"identity needs a rank n >= 0, got {n}")
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def from_window(cls, window) -> "SignedPermutation":

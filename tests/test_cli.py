@@ -253,6 +253,15 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["terms"]) == 4 * 5 // 2
 
+    def test_mstar_stops_at_the_cap(self, capsys, monkeypatch):
+        # M* of this product has 100 terms; it stops as the 51st enters.
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "50")
+        assert main(["mstar", "d(0,2@rho) x d(1,3@rho)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: mstar_big: partial sum of 51 terms exceeds JACQUET_MAX_TERMS (50 terms)"]
+
     def test_jacquet(self, capsys):
         assert main(["jacquet", "d(1,1@rho) x d(2,2@rho) |x| sigma",
                      "--shape", "1,1", "--format", "json"]) == 0

@@ -60,7 +60,7 @@ VALID = {
     "rho": RHO, "s": mu_star(G), "segments": (S,), "shape": (1,), "sigma": SIGMA,
     "size": 1, "t": FormalSum.of(TensorTerm((GLMonomial(), G))),
     "text": "d(0,1@rho) |x| sigma", "w": SignedPermutation.identity(2),
-    "x": GLMonomial([S]), "y": GLMonomial([S]),
+    "x": GLMonomial([S]),
 }
 VALID_FOR = {
     ("GroupMode", "value"): "GU",
@@ -147,6 +147,14 @@ def test_valid_arguments_are_accepted():
 def test_junk_raises_a_jacquet_error(name, param):
     leaks = _leaks(name, param)
     assert not leaks, f"{name}({param}=...) leaks builtin errors: {leaks}"
+
+
+@pytest.mark.parametrize("name, param", VALID_FOR, ids=[f"{n}-{p}" for n, p in VALID_FOR])
+def test_valid_for_entries_are_live(name, param):
+    # An override names a public callable and one of its parameters, so a
+    # deleted name or parameter leaves no stale entry behind.
+    assert name in PUBLIC, f"{name} is not a public callable"
+    assert param in [p.name for p in PUBLIC[name]]
 
 
 @pytest.mark.parametrize("name, param", OUTSIDE, ids=[f"{n}-{p}" for n, p in OUTSIDE])

@@ -17,7 +17,6 @@ from jacquet import (
     TensorTerm,
     TermLimitError,
     TwistTag,
-    gl_multiply,
     sum_to_obj,
     tensor_multiply,
 )
@@ -109,14 +108,6 @@ def test_arity_mismatch():
         tensor_multiply(t2, t3)
 
 
-def test_gl_multiply_examples():
-    d1, d2, d3 = (FormalSum.of(GLMonomial([s])) for s in (S1, S2, S3))
-    assert gl_multiply(d1, d2) == gl_multiply(d2, d1)
-    one = FormalSum.of(GLMonomial())
-    assert gl_multiply(one, d1) == d1
-    assert gl_multiply(d1 + d2, d3) == gl_multiply(d1, d3) + gl_multiply(d2, d3)
-
-
 def test_tensor_multiply_examples():
     unit = TensorTerm((GLMonomial(),) * 3)
     t = TensorTerm((GLMonomial([S1]), GLMonomial([S2]), GLMonomial()))
@@ -130,13 +121,25 @@ def test_tensor_multiply_examples():
 
 
 def test_sum_product_operator():
+    # ``*`` scales a sum by an int from either side; sums multiply only
+    # through ``tensor_multiply``.
     d = FormalSum.of(GLMonomial([seg(RHO, 0, 1)]))
-    square = d * d
-    assert square == gl_multiply(d, d) == FormalSum.of(GLMonomial([seg(RHO, 0, 1)] * 2))
-    assert len(square) == 1
-    t = FormalSum.of(TensorTerm((GLMonomial([S1]), GLMonomial())))
-    assert t * t == tensor_multiply(t, t)
     assert d * 2 == 2 * d == d + d
+    assert (d * 0).is_zero
+    for other in (d, 1.5, "x"):
+        with pytest.raises(TypeError):
+            d * other
+
+
+def test_coefficient_checks_its_term():
+    s = FormalSum.of(GLMonomial([S1]), 2)
+    assert s.coefficient(GLMonomial([S1])) == 2
+    assert s.coefficient(GLMonomial([S2])) == 0
+    for absent in ("x", None, S1):
+        assert s.coefficient(absent) == 0
+    for bad in ([], {"a": 1}, ["x"]):
+        with pytest.raises(KindMismatchError, match="coefficient needs"):
+            s.coefficient(bad)
 
 
 def test_sum_rejects_mixed_and_foreign_terms():
@@ -146,15 +149,6 @@ def test_sum_rejects_mixed_and_foreign_terms():
         FormalSum([(S1, 1)])
     with pytest.raises(KindMismatchError):
         TensorTerm(("x",))
-
-
-def test_gl_multiply_accepts_segments_and_monomials():
-    m = GLMonomial([S1])
-    expected = FormalSum.of(GLMonomial([S1, S2]))
-    assert gl_multiply(m, S2) == gl_multiply(S1, GLMonomial([S2])) == expected
-    for bad in ("x", GUClass([S1], SIGMA), FormalSum.of(GUClass([S1], SIGMA))):
-        with pytest.raises(KindMismatchError):
-            gl_multiply(m, bad)
 
 
 def test_tensor_multiply_of_zero():
@@ -183,16 +177,6 @@ def test_tensor_multiply_checks_the_cap_while_it_grows(monkeypatch):
     assert str(err.value).startswith("tensor_multiply: partial product of 11 terms")
 
 
-def test_gl_multiply_checks_the_cap_while_it_grows(monkeypatch):
-    x = FormalSum({GLMonomial([seg(RHO, i, i)]): 1 for i in range(3)})
-    y = FormalSum({GLMonomial([seg(TAU, i, i)]): 1 for i in range(3)})
-    monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
-    with pytest.raises(TermLimitError) as err:
-        gl_multiply(x, y)
-    assert str(err.value) == (
-        "gl_multiply: partial product of 6 terms exceeds JACQUET_MAX_TERMS (5 terms)")
-
-
 def test_malformed_term_limit(monkeypatch):
     monkeypatch.setenv("JACQUET_MAX_TERMS", "1e6")
     with pytest.raises(JacquetError) as err:
@@ -210,26 +194,34 @@ mono_strategy = st.lists(
     max_size=2,
 ).map(GLMonomial)
 
+def one_slot(mono: GLMonomial) -> TensorTerm:
+    return TensorTerm((mono,))
+
+
+# Sums of one-slot tensor terms: the GL ring, multiplied by tensor_multiply.
 glsum_strategy = st.lists(
-    st.tuples(mono_strategy, st.integers(-2, 2)), max_size=3
+    st.tuples(mono_strategy.map(one_slot), st.integers(-2, 2)), max_size=3
 ).map(FormalSum)
 
 
 @settings(max_examples=60)
 @given(glsum_strategy, glsum_strategy, glsum_strategy)
 def test_ring_axioms(x, y, z):
+    times = tensor_multiply
     assert x + y == y + x
     assert (x + y) + z == x + (y + z)
-    assert gl_multiply(x, y) == gl_multiply(y, x)
-    assert gl_multiply(gl_multiply(x, y), z) == gl_multiply(x, gl_multiply(y, z))
-    assert gl_multiply(x + y, z) == gl_multiply(x, z) + gl_multiply(y, z)
-    one = FormalSum.of(GLMonomial())
-    assert gl_multiply(one, x) == x
+    assert times(x, y) == times(y, x)
+    assert times(times(x, y), z) == times(x, times(y, z))
+    assert times(x + y, z) == times(x, z) + times(y, z)
+    one = FormalSum.of(one_slot(GLMonomial()))
+    assert times(one, x) == x
 
 
 @given(mono_strategy, mono_strategy)
 def test_rank_grading(m1, m2):
-    assert (m1 * m2).rank == m1.rank + m2.rank
+    product = tensor_multiply(FormalSum.of(one_slot(m1)), FormalSum.of(one_slot(m2)))
+    (term,) = product.terms()
+    assert term.factors[0].rank == m1.rank + m2.rank
 
 
 def test_serialization_shape():

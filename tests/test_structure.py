@@ -32,6 +32,7 @@ from jacquet import (
     mstar_gl,
     mu_star,
     mu_star_of_segments,
+    tensor_multiply,
     twisted_rtimes,
 )
 from jacquet.grothendieck import sum_to_obj
@@ -46,6 +47,8 @@ from helpers import (
     reference_mu_star_of_segments,
     seg,
     strip_twists,
+    transcribed_mstar_big,
+    transcribed_mstar_gl,
     unpruned_jacquet_by_shape,
 )
 
@@ -92,10 +95,14 @@ class TestMstarGL:
         s, t = seg(RHO, 0, 1), seg(CHI, 1, 1)
         x, y = FormalSum.of(mono(s)), FormalSum.of(mono(t))
         assert mstar_gl(2 * x - y) == 2 * mstar_gl(s) - mstar_gl(t)
-        assert mstar_gl(x * y) == mstar_gl(s) * mstar_gl(t) == mstar_gl(mono(s, t))
-        square = mstar_gl(s) * mstar_gl(s)
-        assert len(square) == 6 and square == mstar_gl(x * x)
-        assert mstar_gl(FormalSum.zero()).is_zero
+        assert mstar_gl(x - x).is_zero and mstar_gl(FormalSum.zero()).is_zero
+        both = tensor_multiply(mstar_gl(s), mstar_gl(t))
+        assert both == mstar_gl(mono(s, t)) == mstar_gl(FormalSum.of(mono(s, t)))
+        square = tensor_multiply(mstar_gl(s), mstar_gl(s))
+        assert len(square) == 6 and square == mstar_gl(mono(s, s))
+        for pair in ((s, t), (s, s), (seg(CHI, 0, 1), seg(CHI.dual(), 1, 2))):
+            assert mstar_big(mono(*pair)) == tensor_multiply(
+                mstar_big(pair[0]), mstar_big(pair[1])), pair
 
     def test_non_element_rejected(self):
         with pytest.raises(KindMismatchError):
@@ -144,6 +151,62 @@ class TestMstarBig:
     def test_multiplicative_over_products(self):
         m = mono(seg(RHO, 1, 1), seg(RHO, 2, 3))
         assert len(mstar_big(m)) == 3 * 6
+
+
+def _oracle_monomials(count: int, seed: int):
+    """Seeded random GL monomials over rho, tau (dim 2), chi and chi~, of
+    up to three segments of length <= 4; every third one repeats a
+    segment and every third overlaps one, shifted by one."""
+    labels, _ = make_mixed_labels()
+    labels = labels + [labels[2].dual()]
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        segments = random_segments(rng, labels, max_segments=2, max_length=4)
+        if segments and i % 3 == 1:
+            segments.append(segments[0])
+        elif segments and i % 3 == 2:
+            s = rng.choice(segments)
+            segments.append(Segment(s.rho, s.a + 1, s.b + 1))
+        out.append(GLMonomial(segments))
+    return out
+
+
+class TestComultiplicationOracle:
+    # m* and M* of multi-segment monomials against their displays,
+    # transcribed per segment and multiplied out with tensor_multiply.
+
+    def test_mstar_gl_matches_the_transcription(self):
+        for m in _oracle_monomials(90, 5):
+            assert mstar_gl(m) == transcribed_mstar_gl(m.segments), m
+
+    def test_mstar_big_matches_the_transcription(self):
+        for m in _oracle_monomials(90, 6):
+            assert mstar_big(m) == transcribed_mstar_big(m.segments), m
+
+    def test_fixed_repeated_and_overlapping_products(self):
+        tau = CuspidalGLLabel("tau", dim=2)
+        for segments in ([seg(tau, 0, 1)] * 2, [seg(RHO, 0, 2), seg(RHO, 1, 3)],
+                         [seg(CHI, 0, 1), seg(CHI.dual(), 0, 1), seg(CHI, 1, 2)],
+                         [seg(RHO, h(1), h(3))] * 3):
+            m = GLMonomial(segments)
+            assert mstar_gl(m) == transcribed_mstar_gl(segments), m
+            assert mstar_big(m) == transcribed_mstar_big(segments), m
+
+    def test_term_cap_is_checked_while_the_sum_grows(self, monkeypatch):
+        # M* of this product has 100 terms, m* 20; each stops at cap + 1.
+        m = mono(seg(RHO, 0, 2), seg(RHO, 1, 3))
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "50")
+        with pytest.raises(TermLimitError) as err:
+            mstar_big(m)
+        assert str(err.value) == (
+            "mstar_big: partial sum of 51 terms exceeds JACQUET_MAX_TERMS (50 terms)")
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "10")
+        with pytest.raises(TermLimitError) as err:
+            mstar_gl(FormalSum.of(m))
+        assert str(err.value).startswith("mstar_gl: partial sum of 11 terms")
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "100")
+        assert len(mstar_big(m)) == 100
 
 
 class TestMuStar:

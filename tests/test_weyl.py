@@ -64,6 +64,15 @@ class TestSignedPermutation:
         with pytest.raises(InvalidParamsError):
             SignedPermutation.identity(3) * SignedPermutation.identity(2)
 
+    def test_identity_checks_its_rank(self):
+        assert SignedPermutation.identity(0).window == ()
+        assert SignedPermutation.identity(3) == SignedPermutation((1, 2, 3))
+        for bad in ("x", None, 1.5, True):
+            with pytest.raises(KindMismatchError, match="identity needs"):
+                SignedPermutation.identity(bad)
+        with pytest.raises(InvalidParamsError, match="n >= 0, got -1"):
+            SignedPermutation.identity(-1)
+
     @pytest.mark.parametrize("window", [["x"], None], ids=["str letter", "none"])
     def test_from_window_rejected_kinds(self, window):
         with pytest.raises(KindMismatchError, match="from_window needs"):
