@@ -359,16 +359,24 @@ def tensor_multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise KindMismatchError(
             f"tensor product needs equal all-GL tensor kinds, got {kx} and {ky}"
         )
+    return _bilinear(x, y, lambda tx, ty: TensorTerm(
+        GLMonomial(a.segments + b.segments) for a, b in zip(tx.factors, ty.factors)),
+        "tensor_multiply: partial product")
+
+
+def _bilinear(x: FormalSum, y: FormalSum, pair, what: str) -> FormalSum:
+    """The sum of cx * cy * pair(tx, ty) over the terms tx of ``x``, outer,
+    and ty of ``y``, inner, merged as built into the first term built; a
+    ``TermLimitError`` names ``what`` as soon as it grows past the cap."""
     cap = _max_terms()
     out: dict = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
-            t = TensorTerm(GLMonomial(a.segments + b.segments)
-                           for a, b in zip(tx.factors, ty.factors))
+            t = pair(tx, ty)
             old = out.get(t)
             if old is None:
                 if len(out) >= cap:
-                    raise _over_cap("tensor_multiply: partial product", len(out) + 1, cap)
+                    raise _over_cap(what, len(out) + 1, cap)
                 out[t] = cx * cy
             else:
                 out[t] = old + cx * cy

@@ -324,6 +324,8 @@ class TwistTag(Keyed):
 
     def merge(self, other: "TwistTag") -> "TwistTag":
         """Componentwise sum of twist exponents; zero entries are pruned."""
+        if not isinstance(other, TwistTag):  # the fold merges often: check only then
+            _checked("TwistTag.merge", TwistTag, (other,))
         if self.is_trivial:
             return other
         if other.is_trivial:
@@ -334,7 +336,10 @@ class TwistTag(Keyed):
         return TwistTag(tuple((n, -e, -nu) for n, e, nu in self.entries))
 
     def without(self, names) -> "TwistTag":
-        """Erase the entries keyed by any of the given label names."""
+        """Erase the entries keyed by any of the given names, not a bare str."""
+        if isinstance(names, str):
+            raise KindMismatchError(f"TwistTag.without needs label names, got {names!r}")
+        names = _checked("TwistTag.without", str, names)
         if self.is_trivial:
             return self
         kept = tuple(e for e in self.entries if e[0] not in names)

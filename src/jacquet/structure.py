@@ -35,17 +35,17 @@ All functions are pure; the table only saves work.
 Both hot loops run on segment ids within one call, numbered by
 ``_numbering`` in canonical key order, so a sorted id tuple is a
 canonical GL factor: its public form is read off by id and built once,
-through the trusted constructors of ``grothendieck``.  ``twisted_rtimes``
-and ``mu_star`` run one fold kernel, ``_fold``, which numbers every
-segment its steps can produce and, at every step but the last, merges
-terms in a dict keyed by id tuples and an anchor id, one per anchor twist
-with its nu sums; terms equal up to nu merge only in the last step, by
-their public keys.  Asked for one GL rank, the fold computes first the
-reach of each step, the ranks the steps from it on can still add, keeps
-its terms in one bucket per GL rank, and skips every (M* entry, bucket)
-pair from which that rank is out of reach; only the rank asked for is
-ever built.  ``jacquet_by_shape`` and ``_coefficient`` fold that way, at
-the shape's total rank.
+through the trusted constructors of ``grothendieck``.  ``mu_star`` and
+``_coefficient`` run one fold kernel, ``_fold``, which folds a class from
+its bare anchor: it numbers every segment its steps can produce and, at
+every step but the last, merges terms in a dict keyed by id tuples and an
+anchor id, one per anchor twist with its nu sums; terms equal up to nu
+merge only in the last step, by their public keys.  Asked for one GL
+rank, the fold computes first the reach of each step, the ranks the
+steps from it on can still add, keeps its terms in one bucket per GL
+rank, and skips every (M* entry, bucket) pair from which that rank is out
+of reach; only the rank asked for is ever built.  ``jacquet_by_shape``
+and ``_coefficient`` fold that way, at the shape's total rank.
 ``_BlockCutter`` numbers, before any cut, the sub-segments of the given
 segments and of their duals: every piece a mu* GL factor or a cut of one
 can hold.  A segment's m* cuts become a table of (top rank, top ids,
@@ -58,7 +58,6 @@ JACQUET_MAX_TERMS as each new term enters it.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -75,6 +74,7 @@ from .grothendieck import (
     GUClass,
     TensorTerm,
     _absorb_fixed,
+    _bilinear,
     _max_terms,
     _over_cap,
 )
@@ -227,60 +227,54 @@ def mstar_big(x) -> FormalSum:
     return _comultiply(x, 3, "mstar_big")
 
 
-def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
-          rank: int | None = None) -> FormalSum:
-    """Fold the twisted pairing over ``steps``, starting from ``start``.
+def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
+          layer: str, rank: int | None = None, keep=None) -> FormalSum:
+    """mu* of the class of ``segments`` over ``sigma`` twisted by ``twist``,
+    folded one segment at a time from the bare anchor (its twist free of
+    twist-fixed entries); the empty class gives the bare term alone.
 
-    ``steps`` is a list of (segment or None, entries); an entry is
-    ((second, third, dual of first, twist of first or None),
-    multiplicity), the pieces as segment tuples, the way ``_cuts`` holds
-    the M* terms of a segment.  Each step computes
-    ``twisted_rtimes(sum of the entries, acc, mode)``.  Every segment the
-    fold can produce (the dualized first, second and third pieces of the
-    entries, and the segments of ``start``) gets its ``_numbering`` id
-    first.  An anchor (label, twist) is interned as a rep id, one per
-    (label, twist entries), nu sums included.  Every step but the last
-    accumulates into a dict that maps (GL ids, GU ids, rep id) to a
+    Step i pairs the M* terms of ``segments[i]`` in ``_cuts`` (those
+    ``keep`` is true of, if given) with the terms so far: the dualized
+    first and the second piece join the GL factor, the third the anchor,
+    and in GU mode the first piece's twist twists the anchor.  Every
+    segment the fold can produce gets its ``_numbering`` id first, and
+    each anchor twist, nu sums included, a rep id.  Every step but the
+    last accumulates into a dict that maps (GL ids, GU ids, rep id) to a
     multiplicity, so terms whose twists differ only in nu stay apart.  The
     last step builds the public terms through the trusted constructors,
     sharing each anchor factor among its terms, and merges them by their
     public keys, which leave nu out.
 
-    With ``rank``, the fold returns only the terms whose GL factor has
-    that rank, and builds no other.  An entry adds the rank of its
-    dualized first and second pieces to a term's GL rank, so before the
-    fold ``reach[i]`` is the set of ranks that steps i, i+1, ... can still
-    add.  The accumulator is bucketed by GL rank, and an (entry, bucket)
-    pair is skipped as soon as ``rank`` is out of its reach; the last step
-    reads only the bucket that lands on ``rank``.  Without ``rank`` the
-    accumulator is one bucket and no rank is added up.
+    With ``rank``, only the terms whose GL factor has that rank are built.
+    An M* term adds the rank of its dualized first and second pieces, so
+    ``reach[i]`` is the set of ranks that steps i, i+1, ... can still add.
+    The accumulator is bucketed by GL rank, and an (M* term, bucket) pair
+    is skipped as soon as ``rank`` is out of its reach.  Without ``rank``
+    the accumulator is one bucket and no rank is added up.
 
-    The entries are walked outer and the accumulator inner, and a merged
-    term keeps the first term built, so the nu sums a merged twist shows
-    are those of the object-level fold; a skipped pair builds no term of
-    the rank asked for, so the slice keeps that order too.  ``layer``
-    names the caller in the ``TermLimitError`` raised as soon as a step
-    grows past the cap.
+    M* terms are walked outer and the accumulator inner, and a merged term
+    keeps the first term built, so the nu a merged twist shows follows the
+    segment order, in the slice too.  A ``TermLimitError`` names ``layer``
+    as soon as a step grows past the cap.
     """
-    segs, keys, ids = _numbering(chain(
-        (p for tt in start.terms() for f in tt.factors for p in f.segments),
-        (p for _, entries in steps
-         for (second, third, dual, _), _ in entries for p in dual + second + third)))
+    if not segments:
+        return FormalSum.of(TensorTerm((GLMonomial(), GUClass((), sigma, twist))))
+    twist = _absorb_fixed(sigma, twist)
+    steps = [(s, [e for e in _cuts(s)[1] if keep is None or keep(e)]) for s in segments]
+    segs, keys, ids = _numbering(p for _, entries in steps for second, third, dual, _ in entries
+                                 for p in dual + second + third)
 
-    def id_tuple(segments) -> tuple:
-        return tuple(ids[p.key] for p in segments)
+    def id_tuple(pieces) -> tuple:
+        return tuple(ids[p.key] for p in pieces)
 
     twists = mode is GroupMode.GU
     ranked = rank is not None
-    # per step: (what, [(low ids, mid ids, twist or None, mult, GL rank or None)])
-    plans = []
-    for folded, entries in steps:
-        where = f" folding {folded}," if folded is not None else ""
-        what = f"{layer}:{where} partial sum"    # what a TermLimitError names
-        plan = [(id_tuple(dual + second), id_tuple(third), omega if twists else None, cm,
-                 sum(p.rank for p in dual + second) if ranked else None)
-                for (second, third, dual, omega), cm in entries]
-        plans.append((what, plan))
+    # per step: (what, [(low ids, mid ids, twist or None, GL rank or None)])
+    plans = [(f"{layer}: folding {s}, partial sum",    # what a TermLimitError names
+              [(id_tuple(dual + second), id_tuple(third), omega if twists else None,
+                sum(p.rank for p in dual + second) if ranked else None)
+               for second, third, dual, omega in entries])
+             for s, entries in steps]
     # reach[i]: the GL ranks steps i, i+1, ... can still add, for i >= 1;
     # None without ``rank``
     reach: list = [None] * (len(plans) + 1)
@@ -290,22 +284,9 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
             adds = {r for *_, r in plans[i][1]}
             reach[i] = {r + later for r in adds for later in reach[i + 1]}
 
-    reps: list = []       # rep id -> (anchor label, twist)
-    rep_ids: dict = {}    # (label name, twist entries) -> rep id
-
-    def intern(sigma, twist) -> int:
-        rid = rep_ids.get((sigma.name, twist.entries))
-        if rid is None:
-            rid = rep_ids[(sigma.name, twist.entries)] = len(reps)
-            reps.append((sigma, twist))
-        return rid
-
-    acc: dict = {}        # GL rank, or None without ``rank`` -> bucket
-    for tt, ct in start.items():
-        pi4, anchor = tt.factors
-        bucket = acc.setdefault(pi4.rank if ranked else None, {})
-        bucket[(id_tuple(pi4.segments), id_tuple(anchor.segments),
-                intern(anchor.sigma, anchor.twist))] = ct
+    reps = [twist]                    # rep id -> anchor twist
+    rep_ids = {twist.entries: 0}      # twist entries -> rep id
+    acc = {0 if ranked else None: {((), (), 0): 1}}    # GL rank or None -> bucket
 
     def mover(omega, moved_by: dict):
         """rep id -> rep id once the twist ``omega`` of a first piece has
@@ -316,9 +297,12 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
         moved = moved_by.get(omega.entries)
         if moved is None:
             moved = moved_by[omega.entries] = {}
+            omega = _absorb_fixed(sigma, omega)    # no anchor twist holds a fixed label
             for rid in {rid for bucket in acc.values() for _, _, rid in bucket}:
-                sigma, twist = reps[rid]
-                moved[rid] = intern(sigma, _absorb_fixed(sigma, twist.merge(omega)))
+                merged = reps[rid].merge(omega)
+                new = moved[rid] = rep_ids.setdefault(merged.entries, len(reps))
+                if new == len(reps):
+                    reps.append(merged)
         return moved
 
     cap = _max_terms()
@@ -326,7 +310,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
         nxt: dict = {}
         size = 0          # terms in nxt
         moved_by: dict = {}
-        for low, mid, omega, cm, r in plan:
+        for low, mid, omega, r in plan:
             moved = mover(omega, moved_by)
             for total, bucket in acc.items():
                 if later is not None:
@@ -342,12 +326,12 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
                     key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), rid)
                     old = into.get(key)
                     if old is None:
-                        into[key] = cm * ct
+                        into[key] = ct
                         size += 1
                         if size > cap:
                             raise _over_cap(what, size, cap)
                     else:
-                        into[key] = old + cm * ct
+                        into[key] = old + ct
         acc = nxt
 
     what, plan = plans[-1]
@@ -356,7 +340,7 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
     gus: dict = {}        # (GU ids, rep id) -> GUClass
     moved_by = {}
     out: dict = {}
-    for low, mid, omega, cm, r in plan:
+    for low, mid, omega, r in plan:
         bucket = acc.get(rank - r if ranked else None)
         if bucket is None:
             continue
@@ -369,16 +353,15 @@ def _fold(steps: list, start: FormalSum, mode: GroupMode, layer: str,
             gu = (tuple(sorted(mid + gu)), rid)
             gu_factor = gus.get(gu)
             if gu_factor is None:
-                sigma, twist = reps[rid]
+                twist = reps[rid]
                 gu_factor = gus[gu] = new_gu(
                     tuple(map(seg_at, gu[0])), sigma, twist,
                     (tuple(map(key_at, gu[0])), sigma.name, twist.key))
             term = new_term((gl_factor, gu_factor), (gl_factor.key, gu_factor.key))
-            c = cm * ct
             size = len(out)
-            old = out.setdefault(term, c)
+            old = out.setdefault(term, ct)
             if len(out) == size:
-                out[term] = old + c
+                out[term] = old + ct
             elif size >= cap:
                 raise _over_cap(what, size + 1, cap)
     return FormalSum._from_terms(out)
@@ -395,12 +378,15 @@ def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
             f"twisted_rtimes needs a three-factor GL sum and a (GL, GU) sum, "
             f"got {m.kind} and {t.kind}"
         )
-    entries = []
-    for tm, cm in m.items():
-        pi1, pi2, pi3 = tm.factors
-        omega = _omega_of(pi1.segments) if pi1.segments else None
-        entries.append(((pi2.segments, pi3.segments, pi1.dual().segments, omega), cm))
-    return _fold([(None, entries)], t, mode, "twisted_rtimes")
+
+    def pair(tm: TensorTerm, tt: TensorTerm) -> TensorTerm:
+        (first, second, third), (gl, anchor) = tm.factors, tt.factors
+        omega = _omega_of(first.segments if mode is GroupMode.GU else ())
+        return TensorTerm((
+            GLMonomial(first.dual().segments + second.segments + gl.segments),
+            GUClass(third.segments + anchor.segments, anchor.sigma, anchor.twist.merge(omega))))
+
+    return _bilinear(m, t, pair, "twisted_rtimes: partial sum")
 
 
 def _check_rank(where: str, rank, gl_rank: int) -> None:
@@ -427,14 +413,12 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     folded and returned, the same terms ``mu_star`` keeps (see there).
     """
     segments = _checked("mu_star_of_segments", Segment, segments)
+    _checked("mu_star_of_segments", GUCuspidalLabel, (sigma,))
+    _checked("mu_star_of_segments", TwistTag, (twist,))
     mode = GroupMode(mode)
     if rank is not None:
         _check_rank("mu_star_of_segments", rank, sum(s.rank for s in segments))
-    start = FormalSum.of(TensorTerm((GLMonomial.unit(), GUClass((), sigma, twist))))
-    if not segments:
-        return start
-    steps = [(seg, [(entry, 1) for entry in _cuts(seg)[1]]) for seg in segments]
-    return _fold(steps, start, mode, "mu_star", rank)
+    return _fold(segments, sigma, twist, mode, "mu_star", rank)
 
 
 def mu_star(g: GUClass, mode: GroupMode = GroupMode.GU,
@@ -690,14 +674,7 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
                     return False
         return True
 
-    # The bare start of the fold; g's twist is already free of fixed labels.
-    bare = GUClass._trusted((), g.sigma, g.twist, ((), g.sigma.name, g.twist.key))
-    start = FormalSum._from_terms(
-        {TensorTerm._trusted((GLMonomial._trusted((), ()), bare), ((), bare.key)): 1})
-    steps = [(s, [(entry, 1) for entry in _cuts(s)[1] if fits(entry)]) for s in g.segments]
-    if not all(entries for _, entries in steps):
-        return 0
-    folded = _fold(steps, start, mode, "coefficient", sum(shape)) if steps else start
+    folded = _fold(g.segments, g.sigma, g.twist, mode, "coefficient", sum(shape), fits)
     id_of, out = ids.__getitem__, 0
     for term, c in folded.items():
         gl, gu = term.factors

@@ -98,7 +98,10 @@ class SignedPermutation(Keyed):
         return len(self.window)
 
     def __call__(self, j: int) -> int:
-        """Image of a signed letter; w(-j) = -w(j)."""
+        """Image of a signed letter in +-1..+-n; w(-j) = -w(j)."""
+        _checked("SignedPermutation", int, (j,))
+        if not 0 < abs(j) <= len(self.window):
+            raise InvalidParamsError(f"no letter {j} in rank {self.n}")
         return self.window[j - 1] if j > 0 else -self.window[-j - 1]
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
@@ -107,7 +110,9 @@ class SignedPermutation(Keyed):
             return NotImplemented
         if other.n != self.n:
             raise InvalidParamsError(f"cannot compose ranks {self.n} and {other.n}")
-        return SignedPermutation._trusted(tuple(map(self, other.window)))
+        w = self.window
+        return SignedPermutation._trusted(
+            tuple(w[v - 1] if v > 0 else -w[-v - 1] for v in other.window))
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.n

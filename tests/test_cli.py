@@ -1,18 +1,21 @@
 """Expression language and command-line behavior."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import jacquet
 from jacquet import ExpressionError, JacquetError, LabelRegistry, UnknownLabelError
-from jacquet.cli import _dumps, build_parser, main, make_resolvers
+from jacquet.cli import _dumps, build_parser, main, make_resolvers, run_command
 from jacquet.expressions import parse_expression, parse_tensor_target
 from helpers import h
 
@@ -219,6 +222,71 @@ _NESTED = _DOCUMENTS.map(lambda doc: [doc, [doc]])
 @example([{"a": "1"}, [{"a": "1"}]])
 def test_dumps_matches_json_indent_layout(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _num(twice: int) -> str:
+    """The literal of the half-integer twice / 2."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+# Random argv for the four expression subcommands: short segments, runs of
+# the grammar's tokens, junk shapes, both formats and both groups, each
+# option sometimes left out or given a bad value.
+_SEGMENTS = st.builds(
+    lambda a, length, name: f"d({_num(a)},{_num(a + 2 * length - 2)}@{name})",
+    st.integers(-3, 4), st.integers(0, 3),
+    st.sampled_from(["rho", "rho~", "chi", "chi~", "tau", "sigma"]),
+)
+_TOKENS = st.lists(st.sampled_from(
+    ["d(", ")", ",", "@", "/", "-", "0", "1", "2", "x", " x ", "|x|", "(x)", "rho",
+     "chi~", "sigma", "~", " ", "d(0,1@rho)"]), max_size=10).map("".join)
+_GL_PARTS = st.one_of(st.just("1"), st.lists(_SEGMENTS, min_size=1, max_size=3).map(" x ".join))
+_EXPRS = st.one_of(_TOKENS, st.builds(
+    lambda gl, anchor: gl + anchor, _GL_PARTS,
+    st.sampled_from([" |x| sigma", " |x| sigma", " |x| sigma", "", " |x| tau", " |x|"])))
+_TARGETS = st.one_of(_TOKENS, st.builds(
+    lambda gls, anchor: " (x) ".join(gls) + anchor,
+    st.lists(_GL_PARTS, min_size=1, max_size=3),
+    st.sampled_from([" |x| sigma", " |x| sigma", "", " |x| sigma_fixed"])))
+_SHAPES = st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda b: ",".join(map(str, b))),
+    st.lists(st.integers(-1, 4), max_size=4).map(lambda b: ",".join(map(str, b))),
+    st.sampled_from(["", ",", "x", "1,,1", "1.5", "-", "10**9"]),
+)
+
+
+@st.composite
+def _argv(draw) -> list:
+    command = draw(st.sampled_from(["mustar", "mstar", "jacquet", "mult"]))
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv.append(draw(_EXPRS))
+    if command in ("jacquet", "mult") and draw(st.integers(0, 9)):
+        argv += ["--shape", draw(_SHAPES)]
+    if command == "mult" and draw(st.integers(0, 9)):
+        argv += ["--term", draw(_TARGETS)]
+    if command != "mstar" or not draw(st.integers(0, 9)):
+        argv += draw(st.sampled_from([[], [], ["--group", "U"], ["--group", "GU"],
+                                      ["--group", "V"]]))
+    argv += draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "text"],
+                                  ["--format", "xml"]]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["mult", "d(0,1@rho) |x| sigma", "--shape", "1", "--term", "d(0,0@rho) (x)"])
+@example(["jacquet", "d(0,2@rho) x d(1,3@rho) |x| sigma", "--shape", "1,1,1"])
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    # A tiny cap keeps every run small and sends some of them down the
+    # TermLimitError path; no run may raise.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"JACQUET_MAX_TERMS": "40"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 class TestCommands:

@@ -150,6 +150,24 @@ class TestTwistTag:
         assert TwistTag((("a", 1, h(2)),)) == TwistTag((("a", 1, h(4)),))
         assert hash(TwistTag((("a", 1, h(2)),))) == hash(TwistTag((("a", 1, h(4)),)))
 
+    def test_merge_checks_its_tag(self):
+        t = TwistTag((("rho", 1, 0),))
+        for tag in (t, TRIVIAL_TWIST):
+            for bad in ("x", None, (("rho", 1, 0),)):
+                with pytest.raises(KindMismatchError, match="TwistTag.merge needs TwistTag"):
+                    tag.merge(bad)
+
+    def test_without_matches_whole_names(self):
+        t = TwistTag((("ho", 1, 0), ("rho", 1, 0)))
+        assert t.without(["rho"]).key == (("ho", 1),)
+        assert t.without({"rho", "ho"}) == TRIVIAL_TWIST
+        assert t.without(()) is t
+        for bad in ("rho", None, 1, [None]):
+            with pytest.raises(KindMismatchError, match="TwistTag.without needs"):
+                t.without(bad)
+        with pytest.raises(KindMismatchError):
+            TRIVIAL_TWIST.without("rho")
+
     @given(twist_entries, twist_entries)
     def test_commutative(self, t1, t2):
         assert t1.merge(t2) == t2.merge(t1)

@@ -491,14 +491,17 @@ class TestFoldKernel:
     def test_twisted_rtimes_of_a_product_is_the_fold(self):
         # M* is multiplicative, so pairing M* of the whole product at once
         # (multi-segment first factors) gives the segment-by-segment fold.
+        # Every class runs with all 8 (anchor, start twist, mode) cases.
         labels, sigma = make_mixed_labels()
+        cases = list(itertools.product(self.anchors(sigma), GroupMode))
         rng = random.Random(43)
         for _ in range(30):
             segments = random_segments(rng, labels, max_segments=3, max_length=3)
-            start = FormalSum.of(TensorTerm((GLMonomial(), GUClass((), sigma))))
-            for mode in GroupMode:
-                assert twisted_rtimes(mstar_big(GLMonomial(segments)), start, mode) == \
-                    mu_star_of_segments(segments, sigma, mode=mode), (segments, mode)
+            m = mstar_big(GLMonomial(segments))
+            for (anchor, twist), mode in cases:
+                start = FormalSum.of(TensorTerm((GLMonomial(), GUClass((), anchor, twist))))
+                assert twisted_rtimes(m, start, mode) == mu_star_of_segments(
+                    segments, anchor, twist, mode), (segments, anchor, twist, mode)
 
     def test_merged_term_keeps_its_first_twist(self):
         # Inputs with unrelated nu sums show which term of a merged pair

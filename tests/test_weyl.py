@@ -73,6 +73,16 @@ class TestSignedPermutation:
         with pytest.raises(InvalidParamsError, match="n >= 0, got -1"):
             SignedPermutation.identity(-1)
 
+    def test_call_checks_its_letter(self):
+        w = SignedPermutation.from_window((2, -1, 3))
+        assert [w(j) for j in (1, 2, 3, -1, -2, -3)] == [2, -1, 3, -2, 1, -3]
+        for bad in ("x", None, 1.5, True):
+            with pytest.raises(KindMismatchError, match="SignedPermutation needs int"):
+                w(bad)
+        for bad in (0, 4, -4):
+            with pytest.raises(InvalidParamsError, match=f"no letter {bad} in rank 3"):
+                w(bad)
+
     @pytest.mark.parametrize("window", [["x"], None], ids=["str letter", "none"])
     def test_from_window_rejected_kinds(self, window):
         with pytest.raises(KindMismatchError, match="from_window needs"):
@@ -195,6 +205,17 @@ class TestQRep:
         assert reps == {SignedPermutation.identity(1), flip}
 
 
+def _right_descents(w: SignedPermutation) -> set:
+    """The i with s_i a right descent of ``w``, read off the window in the
+    order 1 < ... < n < -n < ... < -1: s_i (i < n) when w(i) > w(i+1)
+    there, s_n when w(n) < 0.  ``test_descent_rule_matches_length`` checks
+    this rule against ``length``."""
+    n = w.n
+    place = [v if v > 0 else 2 * n + 1 + v for v in w.window]
+    out = {i for i in range(1, n) if place[i - 1] > place[i]}
+    return out | {n} if w.window[-1] < 0 else out
+
+
 class TestOracle:
     def test_matches_closed_form_small(self):
         for n in (1, 2, 3):
@@ -210,6 +231,31 @@ class TestOracle:
             for i2 in range(1, 5):
                 closed = {q_rep(p) for p in enumerate_geom_params(4, i1, i2)}
                 assert closed == brute_force_coset_reps(4, i1, i2), (i1, i2)
+
+    def test_descent_rule_matches_length(self):
+        # s is a right (left) descent of w exactly when w s (s w) is shorter.
+        for n in range(1, 5):
+            gens = [simple_reflection(n, i) for i in range(1, n + 1)]
+            for w in all_elements(n):
+                lw = length(w)
+                assert _right_descents(w) == {
+                    i for i, s in enumerate(gens, 1) if length(w * s) < lw}
+                assert _right_descents(w.inverse()) == {
+                    i for i, s in enumerate(gens, 1) if length(s * w) < lw}
+
+    def test_matches_descent_rule_ranks_5_and_6(self):
+        for n in (5, 6):
+            # w is minimal in W_I w W_J exactly when its left descents lie
+            # in {i1} and its right descents in {i2}.
+            descents = [(_right_descents(w.inverse()), _right_descents(w), w)
+                        for w in all_elements(n)]
+            candidates = [d for d in descents if len(d[0]) <= 1 and len(d[1]) <= 1]
+            for i1 in range(1, n + 1):
+                for i2 in range(1, n + 1):
+                    minimal = {w for left, right, w in candidates
+                               if left <= {i1} and right <= {i2}}
+                    closed = {q_rep(p) for p in enumerate_geom_params(n, i1, i2)}
+                    assert closed == minimal, (n, i1, i2)
 
     def test_count_equals_param_count(self):
         for n in (1, 2, 3):
