@@ -11,8 +11,10 @@ Subcommands::
     check-lj --decls F --datum F     validate a classification datum
 
 Exit codes: 0 success, 1 domain error (including an invalid datum in
-``check-lj``), 2 usage error.  With ``--format json`` a single JSON
-document goes to stdout; diagnostics go to stderr.
+``check-lj``), 2 usage error.  Diagnostics go to stderr.  With ``--format
+json`` one document goes to stdout, in the bytes of ``json.dumps(doc,
+indent=2, sort_keys=True)``; sum reports write its ``terms`` straight
+from the sum.
 
 Labels resolve against a declarations file (``--decls``).  Without one,
 expression commands fall back to implicit declarations: segment labels
@@ -29,7 +31,7 @@ import sys
 
 from .errors import JacquetError, UnknownLabelError
 from .expressions import Expression, parse_expression, parse_tensor_target, target_term
-from .grothendieck import FormalSum, sum_to_obj
+from .grothendieck import FormalSum, GUClass
 from .scalars import DUAL_MARKER, HalfInt, LabelRegistry
 from .spclassifier import enumerate_sp, lj_from_obj, validate_lj
 from .structure import GroupMode, _coefficient, jacquet_by_shape, mstar_big, mu_star
@@ -168,59 +170,57 @@ def _wants_json(args) -> bool:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_encode_scalar = json.JSONEncoder().encode  # C-backed: no indent
 
 
-def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed
-    documents.  With ``indent`` set, ``json`` runs its pure-Python encoder;
-    this writer leaves strings and scalars to the C encoder, and writes a
-    dict whose values are all strings (a segment) once per indent and
-    contents.  Only str values are memoised, since ``1 == True`` and
-    ``{"a": 1}`` and ``{"a": true}`` would share a key."""
-    parts = []
-    memo = {}
+def _block(brackets: str, members, pad: str) -> str:
+    """A container at indent ``pad`` holding the member texts ``members``,
+    laid out as by ``json.dumps(..., indent=2)``."""
+    if not members:
+        return brackets
+    inner = f"\n{pad}  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(members)}\n{pad}{brackets[1]}"
 
-    def write(value, pad: str) -> None:
-        if isinstance(value, str):
-            parts.append(_encode_str(value))
-        elif not isinstance(value, (dict, list, tuple)):
-            parts.append(_encode_scalar(value))
-        elif not value:
-            parts.append("{}" if isinstance(value, dict) else "[]")
-        elif isinstance(value, dict):
-            items = sorted(value.items())
-            inner = pad + "  "
-            if all(isinstance(v, str) for _, v in items):
-                key = (pad, *items)
-                if key not in memo:
-                    memo[key] = "{" + ",".join(
-                        f"\n{inner}{_encode_str(k)}: {_encode_str(v)}" for k, v in items
-                    ) + f"\n{pad}}}"
-                parts.append(memo[key])
-                return
-            opener = "{"
-            for k, v in items:
-                parts.append(f"{opener}\n{inner}{_encode_str(k)}: ")
-                write(v, inner)
-                opener = ","
-            parts.append(f"\n{pad}}}")
-        else:
-            inner = pad + "  "
-            opener = "["
-            for v in value:
-                parts.append(f"{opener}\n{inner}")
-                write(v, inner)
-                opener = ","
-            parts.append(f"\n{pad}]")
 
-    write(obj, "")
-    return "".join(parts)
+def _terms_text(s: FormalSum) -> str:
+    """The ``sum_to_obj(s)`` list of a sum of tensor terms, written from the
+    sum as it sits in a report: terms at indent 4, factors at 8, segments at
+    12.  Each distinct segment and factor is rendered once; an anchor's memo
+    key adds its twist's entries, whose printed ``nu`` sums ``key`` omits."""
+    segments: dict = {}
+    factors: dict = {}
+
+    def seg_text(seg) -> str:
+        text = segments.get(seg.key)
+        if text is None:
+            fields = (("a", str(seg.a)), ("b", str(seg.b)), ("rho", seg.rho.name))
+            text = segments[seg.key] = _block(
+                "{}", [f'"{k}": {_encode_str(v)}' for k, v in fields], " " * 12)
+        return text
+
+    def factor_text(f) -> str:
+        memo = (f.key, f.twist.entries) if isinstance(f, GUClass) else f.key
+        text = factors.get(memo)
+        if text is None:
+            members = [f'"segments": {_block("[]", [*map(seg_text, f.segments)], " " * 10)}']
+            if isinstance(f, GUClass):
+                twist = [f"{_encode_str(name)}: " + _block(
+                    "{}", (f'"exp": {exp}', f'"nu": {_encode_str(str(nu))}'), " " * 12)
+                    for name, exp, nu in f.twist.entries]
+                members += (f'"sigma": {_encode_str(f.sigma.name)}',
+                            '"twist": ' + _block("{}", twist, " " * 10))
+            text = factors[memo] = _block("{}", members, " " * 8)
+        return text
+
+    def term_text(term, mult) -> str:
+        factor_texts = _block("[]", [*map(factor_text, term.factors)], " " * 6)
+        return _block("{}", (f'"mult": {mult}', f'"term": {factor_texts}'), " " * 4)
+
+    return _block("[]", [term_text(term, mult) for term, mult in s.sorted_items()], "  ")
 
 
 def _emit(args, obj: "dict | None", text_lines) -> None:
     if _wants_json(args):
-        print(_dumps(obj))
+        print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -236,8 +236,8 @@ def _sum_report(args, command: str, expr: Expression, result: FormalSum,
         obj = {"command": command, "group": group, "input": text}
         if shape is not None:
             obj["shape"] = list(shape)
-        obj["terms"] = sum_to_obj(result)
-        _emit(args, obj, ())
+        head = json.dumps(obj, indent=2, sort_keys=True)  # "terms" sorts last
+        print(f'{head[:-2]},\n  "terms": {_terms_text(result)}\n}}')
         return
     if shape is None:
         lines = [f"{command} of {text} [{group}]:"]

@@ -412,7 +412,7 @@ def mu_star_of_segments(segments: Sequence[Segment], sigma: GUCuspidalLabel,
     With an int ``rank``, only the terms whose GL factor has that rank are
     folded and returned, the same terms ``mu_star`` keeps (see there).
     """
-    segments = _checked("mu_star_of_segments", Segment, segments)
+    segments = [s for s in _checked("mu_star_of_segments", Segment, segments) if not s.is_empty]
     _checked("mu_star_of_segments", GUCuspidalLabel, (sigma,))
     _checked("mu_star_of_segments", TwistTag, (twist,))
     mode = GroupMode(mode)

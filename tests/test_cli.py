@@ -1,5 +1,6 @@
 """Expression language and command-line behavior."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,10 +15,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import jacquet
-from jacquet import ExpressionError, JacquetError, LabelRegistry, UnknownLabelError
-from jacquet.cli import _dumps, build_parser, main, make_resolvers, run_command
+from jacquet import (
+    CuspidalGLLabel,
+    ExpressionError,
+    FormalSum,
+    GLMonomial,
+    GroupMode,
+    GUClass,
+    GUCuspidalLabel,
+    JacquetError,
+    LabelRegistry,
+    UnknownLabelError,
+    jacquet_by_shape,
+    mstar_big,
+    mu_star,
+)
+from jacquet.cli import _sum_report, build_parser, main, make_resolvers, run_command
 from jacquet.expressions import parse_expression, parse_tensor_target
-from helpers import h
+from jacquet.grothendieck import sum_to_obj
+from helpers import h, seg
+from test_structure import _random_cases
 
 
 @pytest.fixture
@@ -191,37 +208,40 @@ class TestRoundTrip:
             assert parse_expression(str(expr), gl, gu) == expr
 
 
-_CHARS = st.one_of(
-    st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
-    st.characters(),
-)
-_STRINGS = st.text(_CHARS, max_size=6)
-# Dicts that compare equal key by key (1 == True == 1.0) but print apart.
-_LOOKALIKES = st.sampled_from([{"a": 1}, {"a": True}, {"a": "1"}, {"a": 1.0}])
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), _STRINGS,
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
-)
-_DOCUMENTS = st.recursive(
-    st.one_of(_SCALARS, _LOOKALIKES, st.lists(_LOOKALIKES, min_size=2, max_size=4)),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(_STRINGS, inner, max_size=4),
-    ),
-    max_leaves=8,
-)
-# The same sub-document at two depths, which a memo keyed without the
-# indent would print alike.
-_NESTED = _DOCUMENTS.map(lambda doc: [doc, [doc]])
+def _sum_reports():
+    """(command, shape, sum) for the byte-identity check of the sum writer:
+    mu* of ``_random_cases`` in both modes, Jacquet modules along two of
+    their smallest multi-block shapes, three-factor M* of their GL parts,
+    chi/chi~ labels, names that need escapes, and the zero sum."""
+    for g, shapes in _random_cases():
+        for mode in GroupMode:
+            yield "mustar", None, mu_star(g, mode)
+            for shape in sorted((s for s in shapes if len(s) > 1), key=sum)[:2]:
+                yield "jacquet", shape, jacquet_by_shape(g, shape, mode)
+        yield "mstar", None, mstar_big(GLMonomial(g.segments))
+    rho = CuspidalGLLabel('r\u00f6"', conj_self_dual=True)
+    chi = CuspidalGLLabel("chi", conj_self_dual=False)
+    sigma = GUCuspidalLabel("\u03c3", rank=1)
+    g = GUClass([seg(rho, 0, 1), seg(chi, 0, 0), seg(chi.dual(), -1, 0)], sigma)
+    yield "mustar", None, mu_star(g)
+    yield "jacquet", (1, 2), jacquet_by_shape(g, (1, 2))
+    yield "mstar", None, mstar_big(GLMonomial(g.segments))
+    yield "mstar", None, FormalSum()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(_DOCUMENTS, _NESTED))
-@example([{"a": 1}, {"a": True}, {"a": "1"}])
-@example([{"a": "1"}, [{"a": "1"}]])
-def test_dumps_matches_json_indent_layout(doc):
-    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+def test_sum_report_bytes_are_json_dumps():
+    count = 0
+    for command, shape, result in _sum_reports():
+        doc = {"command": command, "group": "GU", "input": "x", "terms": sum_to_obj(result)}
+        if shape is not None:
+            doc["shape"] = list(shape)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _sum_report(argparse.Namespace(format="json", group="GU"), command, "x",
+                        result, shape)
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        count += 1
+    assert count > 100
 
 
 def _num(twice: int) -> str:

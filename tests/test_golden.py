@@ -16,6 +16,8 @@ from jacquet.cli import run_command
 GOLDEN = Path(__file__).parent / "golden"
 MUSTAR = "d(1,2@rho) x d(-1/2,1/2@tau) x d(0,1@chi) |x| sigma"
 JACQUET = "d(0,1@rho) x d(1,2@rho) |x| sigma"
+# The anchor 1 |x| w_rho sigma shows nu 0 in one term and nu -1 in another.
+NU_TRAP = "d(-1,-1@rho) x d(0,0@rho) |x| sigma"
 
 # Input documents the commands read, written to the working directory.
 FILES = {
@@ -41,6 +43,7 @@ FILES = {
 GOLDENS = {
     "mustar_gu.json": (0, ["mustar", MUSTAR, "--group", "GU", "--format", "json"]),
     "mustar_u.json": (0, ["mustar", MUSTAR, "--group", "U", "--format", "json"]),
+    "mustar_nu.json": (0, ["mustar", NU_TRAP, "--format", "json"]),
     "jacquet_2_2.txt": (0, ["jacquet", JACQUET, "--shape", "2,2"]),
     "jacquet_2_2.json": (0, ["jacquet", JACQUET, "--shape", "2,2", "--format", "json"]),
     "mstar.json": (0, ["mstar", "d(1,3@rho) x d(0,1@tau)", "--format", "json"]),

@@ -626,6 +626,18 @@ class TestMuStarByRank:
         assert mu_star(g, GroupMode.GU, 0) == mu_star(g)
         assert mu_star_of_segments([], SIGMA, rank=0) == mu_star(g)
 
+    def test_empty_segments_fold_as_the_unit(self):
+        # Segment.empty(RHO, 1) is d(1,0@rho); GUClass drops it as the unit.
+        d = seg(RHO, 0, 1)
+        for segments in ([Segment.empty(RHO, 1), d],
+                         [d, Segment.empty(CHI), Segment.empty(RHO)],
+                         [Segment.empty(RHO)]):
+            g = GUClass(segments, SIGMA)
+            for mode in GroupMode:
+                for k in (None, *range(g.gl_rank + 1)):
+                    assert _same_output(mu_star_of_segments(segments, SIGMA, mode=mode, rank=k),
+                                        mu_star(g, mode, k)), (segments, mode, k)
+
     def test_bad_ranks_are_typed_errors(self):
         g = GUClass([seg(RHO, 0, 1), seg(CHI, 1, 2)], SIGMA)
         calls = {
