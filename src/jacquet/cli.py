@@ -351,7 +351,7 @@ def _cmd_weyl(args) -> int:
 def _cmd_enum_sp(args) -> int:
     gl, gu = _registry_for(args)
     sigma = gu(args.sigma)
-    rhos = [gl(name) for name in args.rhos.split(",") if name.strip()]
+    rhos = [gl(name) for name in map(str.strip, args.rhos.split(",")) if name]
     entries = enumerate_sp(
         rhos, sigma, HalfInt(args.max_b), _mode(args), strict=args.strict_jord
     )
@@ -442,15 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent bound, a half-integer literal (default 5)")
     p.add_argument("--strict-jord", dest="strict_jord", action="store_true",
                    help="forbid empty-segment exponents")
-    p.add_argument("--group", choices=("GU", "U"), default="GU")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p, decls=False)
     p.set_defaults(func=_cmd_enum_sp)
 
     p = subs.add_parser("check-lj", help="validate a classification datum")
     p.add_argument("--decls", required=True)
     p.add_argument("--datum", required=True, help="datum JSON file")
     p.add_argument("--strict-jord", dest="strict_jord", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p, decls=False, group=False)
     p.set_defaults(func=_cmd_check_lj)
 
     return parser

@@ -22,7 +22,8 @@ This module computes, entirely at the level of formal classes:
   directly, one block at a time, taking from each segment only the top
   pieces whose ranks add up to the block's rank;
 * ``_coefficient`` -- one coefficient of that module, without building
-  it: the M* entries and the cuts are pruned against the target term.
+  it: the M* entries are pruned against the target term, and the block
+  split follows only the target's blocks.
 
 Every cut of a segment comes from ``_cuts``, the one process-wide memo
 here: a table of the segment's m* cuts, its M* terms (with the dual and
@@ -50,9 +51,11 @@ and ``_coefficient`` fold that way, at the shape's total rank.
 segments and of their duals: every piece a mu* GL factor or a cut of one
 can hold.  A segment's m* cuts become a table of (top rank, top ids,
 bottom ids) when first needed, and the per-call memo of block cuts is
-keyed on (id tuple, remaining blocks), or on (id tuple, block index) for
-a coefficient.  Every fold step, split and output checks
-JACQUET_MAX_TERMS as each new term enters it.
+keyed on (id tuple, remaining blocks, wanted blocks or None), a
+coefficient asking for the target's blocks alone.  ``mstar_gl``,
+``mstar_big`` and ``jacquet_by_shape`` cut, merge and build their output
+in one loop, ``_BlockCutter.build``.  Every fold step, split and output
+checks JACQUET_MAX_TERMS as each new term enters it.
 """
 
 from __future__ import annotations
@@ -193,28 +196,14 @@ def _comultiply(x, arity: int, layer: str) -> FormalSum:
     else:
         raise KindMismatchError(f"cannot comultiply {x!r}")
     cutter = _BlockCutter([s for segs, _ in monos for s in segs], f"{layer}: partial sum")
-    id_of, cap = cutter.ids.__getitem__, cutter.cap
-    out: dict = {}        # block ids -> multiplicity
+    sources = []
     for segs, c in monos:
-        ids = tuple(id_of(s.key) for s in segs)
         rank = sum(s.rank for s in segs)
         shapes = [(r, rank - r) for r in range(rank + 1)]
         if arity == 3:
             shapes = [(r1, r2, rest - r2) for r1, rest in shapes for r2 in range(rest + 1)]
-        for shape in shapes:
-            for parts, c2 in cutter.split(ids, shape):
-                parts = parts[2:] + parts[:2]   # M*: the last block moves to the front
-                old = out.get(parts)
-                if old is None:
-                    if len(out) >= cap:
-                        raise _over_cap(cutter.what, len(out) + 1, cap)
-                    out[parts] = c * c2
-                else:
-                    out[parts] = old + c * c2
-    mono_at, key_at = cutter.monomials()
-    return FormalSum._from_terms({
-        TensorTerm._trusted(tuple(map(mono_at, parts)), tuple(map(key_at, parts))): m
-        for parts, m in out.items()})
+        sources.append((tuple(s.key for s in segs), c, shapes, None))
+    return cutter.build(sources, last_first=arity == 3)
 
 
 def mstar_gl(x) -> FormalSum:
@@ -445,32 +434,22 @@ class _BlockCutter:
 
     Every segment a cut can produce has its ``_numbering`` id up front, so
     a GL monomial is a sorted tuple of ids, and every block a cut produces
-    gets an int id too.  The memo and merge dicts hash plain int tuples.
-    A split past the cap raises a ``TermLimitError`` naming ``what``.
+    gets an int id too.  The memo and merge dicts hash plain int tuples;
+    the memo maps (id tuple, blocks, wanted blocks or None) to what
+    ``split`` returns.  A split or an output past the cap raises a
+    ``TermLimitError`` naming ``what``.
     """
 
     def __init__(self, segments, what: str):
         self.cap, self.what = _max_terms(), what
         self.segments, self.keys, self.ids = _numbering(
             p for s in segments for p in _cuts(s)[2])
-        self.ranks = [s.rank for s in self.segments]  # segment id -> rank
         self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
-        # (id tuple, blocks) -> [(block ids, multiplicity)] in ``split``,
-        # (id tuple, block index) -> multiplicity in ``count``
         self.memo: dict = {}
 
     def block(self, ids: tuple) -> int:
         return self.block_ids.setdefault(ids, len(self.block_ids))
-
-    def monomials(self) -> tuple:
-        """(block id -> public ``GLMonomial``, block id -> its key), once
-        every cut is made: the memo is freed first."""
-        self.memo.clear()
-        seg_at, key_at = self.segments.__getitem__, self.keys.__getitem__
-        monos = [GLMonomial._trusted(tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
-                 for ids in self.block_ids]
-        return monos.__getitem__, [m.key for m in monos].__getitem__
 
     def table(self, i: int) -> list:
         """[(rank, top, bottom)] of segment ``i`` for each m* cut, by
@@ -517,20 +496,30 @@ class _BlockCutter:
         choose(0, rank, (), ())
         return out
 
-    def split(self, mono: tuple, blocks: tuple) -> list:
+    def split(self, mono: tuple, blocks: tuple, want=None) -> list:
         """[(block ids, multiplicity)] for every way of cutting ``mono``,
-        whose rank is ``sum(blocks)``, into ordered blocks of those
-        ranks."""
+        whose rank is ``sum(blocks)``, into ordered blocks of those ranks.
+
+        With ``want``, one sorted id tuple per block, only the cut into
+        exactly those blocks is followed: at each block, only the top cuts
+        whose top is the wanted block, so the list holds at most one cut.
+        """
         if len(blocks) <= 1:
             # The last block takes the whole rest; () splits the unit once.
+            if want and mono != want[0]:
+                return []
             return [((self.block(mono),) if blocks else (), 1)]
-        key = (mono, blocks)
+        key = (mono, blocks, want)
         found = self.memo.get(key)
         if found is None:
-            rest, cap = blocks[1:], self.cap
+            rest, later, cap = blocks[1:], want and want[1:], self.cap
+            cuts = self.top_cuts(mono, blocks[0], want and set(want[0])).items()
+            if want:
+                wanted = self.block(want[0])
+                cuts = [cut for cut in cuts if cut[0][0] == wanted]
             out: dict = {}
-            for (top, bottom), c in self.top_cuts(mono, blocks[0]).items():
-                for tail, c2 in self.split(bottom, rest):
+            for (top, bottom), c in cuts:
+                for tail, c2 in self.split(bottom, rest, later):
                     parts = (top,) + tail
                     old = out.get(parts)
                     if old is None:
@@ -543,24 +532,42 @@ class _BlockCutter:
             found = self.memo[key] = list(out.items())
         return found
 
-    def count(self, mono: tuple, blocks: tuple, k: int = 0) -> int:
-        """The multiplicity of the ordered blocks ``blocks[k:]`` (sorted id
-        tuples) among the cuts of ``mono`` along their ranks.  At each
-        block only the top cuts whose top is that block are followed."""
-        if k + 1 >= len(blocks):
-            # The last block takes the whole rest; () splits the unit once.
-            return int(mono == (blocks[k] if blocks else ()))
-        key = (mono, k)
-        found = self.memo.get(key)
-        if found is None:
-            block = blocks[k]
-            top = self.block(block)
-            rank = sum(map(self.ranks.__getitem__, block))
-            found = self.memo[key] = sum(
-                c * self.count(bottom, blocks, k + 1)
-                for (t, bottom), c in self.top_cuts(mono, rank, set(block)).items()
-                if t == top)
-        return found
+    def build(self, sources, last_first: bool = False) -> FormalSum:
+        """The sum over ``sources``, each (GL key, multiplicity, shapes,
+        trailing factor or None), of the multiplicity times every cut of
+        the GL factor along each shape: one GL factor per block (the last
+        block first with ``last_first``), then the trailing factor.  Terms
+        merge under the cap as they come, on their blocks and trailing key,
+        keeping the first trailing factor and so its nu; the memo is freed
+        before each block's ``GLMonomial`` and each term are built once."""
+        cap, id_of = self.cap, self.ids.__getitem__
+        trails: dict = {}     # trailing factor key -> trailing id
+        out: dict = {}        # (block ids, trailing id) -> [multiplicity, first trailing factor]
+        for gl, c, shapes, trail in sources:
+            ids = tuple(map(id_of, gl))
+            t = None if trail is None else trails.setdefault(trail.key, len(trails))
+            for shape in shapes:
+                for parts, c2 in self.split(ids, shape):
+                    key = (parts[-1:] + parts[:-1] if last_first else parts, t)
+                    entry = out.get(key)
+                    if entry is None:
+                        if len(out) >= cap:
+                            raise _over_cap(self.what, len(out) + 1, cap)
+                        out[key] = [c * c2, trail]
+                    else:
+                        entry[0] += c * c2
+        self.memo.clear()
+        seg_at, key_at = self.segments.__getitem__, self.keys.__getitem__
+        monos = [GLMonomial._trusted(tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
+                 for ids in self.block_ids]
+        mono_at, mono_key_at = monos.__getitem__, [m.key for m in monos].__getitem__
+        terms: dict = {}
+        for (parts, _), (m, trail) in out.items():
+            factors, keys = tuple(map(mono_at, parts)), tuple(map(mono_key_at, parts))
+            if trail is not None:
+                factors, keys = factors + (trail,), keys + (trail.key,)
+            terms[TensorTerm._trusted(factors, keys)] = m
+        return FormalSum._from_terms(terms)
 
 
 def _query(where: str, g: GUClass, shape, mode) -> tuple:
@@ -594,31 +601,10 @@ def jacquet_by_shape(g: GUClass, shape, mode: GroupMode = GroupMode.GU) -> Forma
     not a ``GUClass``.
     """
     shape, mode = _query("jacquet_by_shape", g, shape, mode)
-    total = sum(shape)
     cutter = _BlockCutter(g.segments, "jacquet_by_shape: partial module")
-    cap = cutter.cap
-    anchors: dict = {}    # anchor key -> anchor id
-    out: dict = {}        # (block ids, anchor id) -> [multiplicity, first anchor]
-    id_of = cutter.ids.__getitem__
-    for term, c in mu_star(g, mode, total).items():
-        gl, gu = term.factors
-        ids = tuple(map(id_of, gl.key))
-        anchor = anchors.setdefault(gu.key, len(anchors))
-        for parts, c2 in cutter.split(ids, shape):
-            key = (parts, anchor)
-            entry = out.get(key)
-            if entry is None:
-                if len(out) >= cap:
-                    raise _over_cap(cutter.what, len(out) + 1, cap)
-                out[key] = [c * c2, gu]
-            else:
-                entry[0] += c * c2
-    mono_at, key_at = cutter.monomials()
-    terms: dict = {}
-    for (parts, _), (m, gu) in out.items():
-        factors = tuple(map(mono_at, parts)) + (gu,)
-        terms[TensorTerm._trusted(factors, tuple(map(key_at, parts)) + (gu.key,))] = m
-    return FormalSum._from_terms(terms)
+    shapes = (shape,)
+    return cutter.build((t.factors[0].key, c, shapes, t.factors[1])
+                        for t, c in mu_star(g, mode, sum(shape)).items())
 
 
 def _exponents(segments) -> dict:
@@ -641,8 +627,9 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     often than the target's blocks do (cutting keeps that multiset).  The
     kept entries are folded by ``_fold`` at the shape's total rank, so
     only terms that can reach it are followed; each folded term with the
-    target's anchor is cut by ``_BlockCutter.count``, which follows only
-    the target's block at each step.  Raises what ``jacquet_by_shape``
+    target's anchor is cut by ``_BlockCutter.split`` asked for the
+    target's blocks, which follows only the target's block at each step
+    and returns that one cut or none.  Raises what ``jacquet_by_shape``
     raises for ``g``, ``shape`` and ``mode``; a ``TermLimitError`` names
     the ``coefficient`` layer.
     """
@@ -679,5 +666,6 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
     for term, c in folded.items():
         gl, gu = term.factors
         if gu.key == anchor.key:
-            out += c * cutter.count(tuple(map(id_of, gl.key)), targets)
+            for _, c2 in cutter.split(tuple(map(id_of, gl.key)), shape, targets):
+                out += c * c2
     return out

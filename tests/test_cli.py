@@ -461,6 +461,17 @@ class TestCommands:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_enum_sp_strips_spaces_around_rho_names(self, decls_file, fmt, capsys):
+        outs = []
+        for rhos in ("rho,rho2", "rho, rho2", " rho ,  rho2 ,"):
+            assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",
+                         "--rhos", rhos, "--max-b", "2", "--format", fmt]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] == outs[1] == outs[2]
+
     def test_unknown_tilde_name_reported_as_typed(self, decls_file, capsys):
         assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",
                      "--rhos", "ghost~"]) == 1

@@ -1082,3 +1082,15 @@ class TestCoefficient:
         with pytest.raises(TermLimitError) as err:
             _coefficient(g, (2, 2, 2), target)
         assert str(err.value).startswith("coefficient: folding d(0,1@rho), partial sum of")
+
+    @pytest.mark.parametrize("cap", range(1, 8))
+    def test_coefficient_follows_one_cut_under_any_cap(self, cap, monkeypatch):
+        # Repeated segments give many cuts with the target's ids in some
+        # block; only the cut into exactly the target's blocks is counted,
+        # so no cap of at least 1 stops the query.
+        sigma = GUCuspidalLabel("sigma", rank=1)
+        a, b = seg(RHO, 1, 1), seg(RHO, 2, 2)
+        g = GUClass([a] * 3 + [b] * 3, sigma)
+        target = TensorTerm((mono(a, b),) * 3 + (GUClass([], sigma),))
+        monkeypatch.setenv("JACQUET_MAX_TERMS", str(cap))
+        assert _coefficient(g, (2, 2, 2), target) == 36
