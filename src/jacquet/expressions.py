@@ -19,6 +19,7 @@ Errors carry line and column.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from typing import Optional
 
@@ -56,52 +57,30 @@ class Expression(Keyed):
         return f"{head} |x| {self.gu_anchor.name}"
 
 
-_PUNCT = ("|x|", "(x)", "(", ")", ",", "@", "/", "-")
+# One token per match: a whitespace run, a punctuation mark, an INT or an
+# IDENT.  ``\w`` also admits numerals such as '½', so an IDENT's first
+# character is checked in ``_tokenize``.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<punct>\|x\||\(x\)|[(),@/-])"
+                    r"|(?P<INT>\d+)|(?P<IDENT>\w[\w~]*)")
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, line_start, i = 1, 0, 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        matched = None
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                matched = punct
-                break
-        if matched:
-            tokens.append((matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_~"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("EOF", "", line, col))
+        m = _TOKEN.match(text, i)
+        kind = m and m.lastgroup
+        if not kind or kind == "IDENT" and not (text[i].isalpha() or text[i] == "_"):
+            raise ExpressionError(f"unexpected character {text[i]!r}",
+                                  line, i - line_start + 1)
+        if kind == "space":
+            if "\n" in m[0]:
+                line += m[0].count("\n")
+                line_start = text.rindex("\n", i, m.end()) + 1
+        else:
+            tokens.append((m[0] if kind == "punct" else kind, m[0], line, i - line_start + 1))
+        i = m.end()
+    tokens.append(("EOF", "", line, i - line_start + 1))
     return tokens
 
 

@@ -12,6 +12,7 @@ makes them immutable once constructed.
 
 from __future__ import annotations
 
+import re
 import threading
 from functools import total_ordering
 from types import MappingProxyType
@@ -179,22 +180,18 @@ def _twice(x) -> "int | None":
     return None
 
 
+# A run of minus signs (their parity is the sign), decimal digits and an
+# optional "/2", with whitespace allowed around each part.
+_LITERAL = re.compile(r"\s*((?:-\s*)*)(\d+)\s*(/\s*2\s*)?")
+
+
 def _parse_twice(text: str) -> int:
-    s = text.strip()
-    neg = False
-    while s.startswith("-"):
-        neg = not neg
-        s = s[1:].strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if den.strip() != "2" or not num.strip().isdecimal():
-            raise InvalidParamsError(f"not a half-integer literal: {text!r}")
-        t = int(num)
-    elif s.isdecimal():
-        t = 2 * int(s)
-    else:
+    m = _LITERAL.fullmatch(text)
+    if m is None:
         raise InvalidParamsError(f"not a half-integer literal: {text!r}")
-    return -t if neg else t
+    signs, digits, half = m.groups()
+    t = int(digits) if half else 2 * int(digits)
+    return -t if signs.count("-") % 2 else t
 
 
 # Suffix that names the conjugate-dual partner of a label that is not

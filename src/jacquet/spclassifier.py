@@ -399,11 +399,13 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     reducibility 0 contribute nothing.  Output order is the lexicographic
     product order and is deterministic.  A label that is not a
     ``CuspidalGLLabel``, or an anchor that is not a ``GUCuspidalLabel``,
-    raises ``KindMismatchError``; a bound of another type raises
-    ``InvalidDatumError``.
+    raises ``KindMismatchError``; a repeated label, or a bound of another
+    type, raises ``InvalidDatumError``.
     """
     labels = _checked("enumerate_sp", CuspidalGLLabel, labels)
     _checked("enumerate_sp", GUCuspidalLabel, (sigma,))
+    if len(set(labels)) != len(labels):
+        raise InvalidDatumError("condition (i) fails: labels are not mutually distinct")
     mode = GroupMode(mode)
     bounds = _per_label_bounds(labels, max_b)
     per_label = []

@@ -14,12 +14,15 @@ exactly as in type C_n, and ``length`` counts those roots as inversions of
 the window (Bjorner-Brenti, GTM 231, section 8.1).
 
 ``p_rep`` / ``q_rep`` build the closed-form minimal double-coset
-representatives from their defining piecewise branches, and
-``brute_force_coset_reps`` is the independent exhaustive oracle they are
-checked against.  The oracle takes every element's length once and walks
-each double coset W_I g W_J once, from its first element g in (length,
-window) order, as the closure of g under left multiplication by the simple
-reflections of I and right multiplication by those of J.
+representatives.  ``GeomParams.block_sizes`` cuts 1..n into five source
+blocks of sizes (k, i2-d-k, d, i1-d-k, n-i1-i2+d+k); ``p_rep`` sends them,
+each as one contiguous run, to the target order 1, 4, 3, 2, 5, reversing
+the third (of size d), and ``q_rep`` also flips the signs of that third
+block.  ``brute_force_coset_reps`` is the independent exhaustive oracle
+they are checked against.  The oracle takes every element's length once
+and walks each double coset W_I g W_J once, from its first element g in
+(length, window) order, as the closure of g under left multiplication by
+the simple reflections of I and right multiplication by those of J.
 """
 
 from __future__ import annotations
@@ -206,27 +209,18 @@ class GeomParams(Keyed):
 
 
 def p_rep(params: GeomParams) -> SignedPermutation:
-    """The piecewise permutation, built branch by branch.
+    """The permutation that moves the five source blocks of ``block_sizes``
+    into the target order 1, 4, 3, 2, 5, reversing block 3.
 
-    The five branches must assemble a bijection; if they ever do not, the
+    The five runs must assemble a bijection; if they ever do not, the
     offending parameters are reported instead of being silently repaired.
     """
     _checked("p_rep", GeomParams, (params,))
-    n, i1, i2, d, k = params.n, params.i1, params.i2, params.d, params.k
-    img = []
-    for j in range(1, n + 1):
-        if j <= k:
-            v = j
-        elif j <= i2 - d:
-            v = j + i1 - k
-        elif j <= i2:
-            v = (i1 + i2 - d + 1) - j
-        elif j <= i1 + i2 - d - k:
-            v = j - i2 + k
-        else:
-            v = j
-        img.append(v)
-    if sorted(img) != list(range(1, n + 1)):
+    k, above, d, below, rest = params.block_sizes
+    i1 = k + below + d
+    img = [*range(1, k + 1), *range(i1 + 1, i1 + above + 1), *range(i1, i1 - d, -1),
+           *range(k + 1, k + below + 1), *range(i1 + above + 1, i1 + above + rest + 1)]
+    if sorted(img) != list(range(1, params.n + 1)):
         raise NonBijectionError(
             f"piecewise branches do not assemble a bijection for {params}: {img}"
         )
@@ -348,18 +342,18 @@ def levi_action(w: SignedPermutation, blocks,
     m = sum(b.size for b in blocks)
     if m > w.n:
         raise LeviActionError(f"blocks of total size {m} do not fit in rank {w.n}")
-    for j in range(m + 1, w.n + 1):
-        if w(j) != j:
+    for j, v in enumerate(w.window[m:], start=m + 1):
+        if v != j:
             raise LeviActionError(f"anchor slot {j} is not fixed by {w!r}")
     placed = []
-    pos = 1
+    pos = 0
     for block in blocks:
-        imgs = [w(j) for j in range(pos, pos + block.size)]
+        imgs = w.window[pos:pos + block.size]
         pos += block.size
         negative = imgs[0] < 0
         if any((v < 0) != negative for v in imgs):
             raise LeviActionError(f"block {block.label!r} maps with mixed signs")
-        vals = [-v for v in imgs] if negative else imgs
+        vals = [-v for v in imgs] if negative else list(imgs)
         step = -1 if negative else 1
         expected = list(range(vals[0], vals[0] + step * len(vals), step))
         if vals != expected:

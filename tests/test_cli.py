@@ -31,7 +31,7 @@ from jacquet import (
     mu_star,
 )
 from jacquet.cli import _sum_report, build_parser, main, make_resolvers, run_command
-from jacquet.expressions import parse_expression, parse_tensor_target
+from jacquet.expressions import _tokenize, parse_expression, parse_tensor_target
 from jacquet.grothendieck import sum_to_obj
 from helpers import h, seg
 from test_structure import _random_cases
@@ -181,6 +181,64 @@ class TestParser:
         )
         assert len(parts) == 3 and parts[2] == ()
         assert anchor.name == "sigma"
+
+
+# Tokens of the grammar as (kind, text), for the lexer position test.
+_LEXEMES = [(p, p) for p in ("|x|", "(x)", "(", ")", ",", "@", "/", "-")] + [
+    ("INT", t) for t in ("0", "1", "12", "\u0663")] + [
+    ("IDENT", t) for t in ("d", "x", "rho", "chi~", "chi~~", "_r2", "\u03c3", "r\u00f6~")]
+_GAPS = st.text(" \t\n", max_size=3)
+
+
+def _merge(left, right) -> bool:
+    """Whether two tokens written side by side would lex otherwise."""
+    return (left[0] in ("INT", "IDENT") and right[0] in ("INT", "IDENT")
+            or left[1] == "(" and right[1].startswith("x"))
+
+
+class TestLexer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_GAPS, st.sampled_from(_LEXEMES)), max_size=12), _GAPS)
+    def test_positions_match_the_joined_offsets(self, pieces, tail):
+        # Join the tokens, recording the 1-based line and column at which
+        # each one starts; a space is forced where two tokens would merge.
+        text, line, col, expected, prev = "", 1, 1, [], None
+
+        def skip(gap):
+            nonlocal line, col
+            for ch in gap:
+                line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+
+        for gap, lexeme in pieces:
+            if not gap and prev and _merge(prev, lexeme):
+                gap = " "
+            skip(gap)
+            expected.append((*lexeme, line, col))
+            text += gap + lexeme[1]
+            col += len(lexeme[1])
+            prev = lexeme
+        skip(tail)
+        expected.append(("EOF", "", line, col))
+        assert _tokenize(text + tail) == expected
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("chi~~", [("IDENT", "chi~~", 1, 1), ("EOF", "", 1, 6)]),
+        ("\u03c3\u00e9~ ", [("IDENT", "\u03c3\u00e9~", 1, 1), ("EOF", "", 1, 5)]),
+        ("d(\n\t1", [("IDENT", "d", 1, 1), ("(", "(", 1, 2), ("INT", "1", 2, 2),
+                      ("EOF", "", 2, 3)]),
+    ])
+    def test_tokens(self, text, tokens):
+        assert _tokenize(text) == tokens
+
+    @pytest.mark.parametrize("text, message", [
+        ("d(\u00bdx", "1:3: unexpected character '\u00bd'"),
+        ("d(1,1@rho)\n x ?", "2:4: unexpected character '?'"),
+        ("1 |x| sigma\n\n  |", "3:3: unexpected character '|'"),
+    ])
+    def test_errors(self, text, message):
+        with pytest.raises(ExpressionError) as err:
+            _tokenize(text)
+        assert str(err.value) == message
 
 
 class TestRoundTrip:
@@ -471,6 +529,16 @@ class TestCommands:
             assert captured.err == ""
             outs.append(captured.out)
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("max_b", ["1", "3"])
+    @pytest.mark.parametrize("rhos", ["rho,rho", "rho,rho~"])
+    def test_enum_sp_refuses_a_repeated_label(self, decls_file, rhos, max_b, capsys):
+        assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",
+                     "--rhos", rhos, "--max-b", max_b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: condition (i) fails: "
+                                "labels are not mutually distinct\n")
 
     def test_unknown_tilde_name_reported_as_typed(self, decls_file, capsys):
         assert main(["enum-sp", "--decls", decls_file, "--sigma", "sigma",

@@ -9,6 +9,7 @@ from jacquet import (
     CuspidalGLLabel,
     GUCuspidalLabel,
     HalfInt,
+    InvalidParamsError,
     JordSequence,
     KindMismatchError,
     LabelConflictError,
@@ -71,6 +72,19 @@ class TestHalfInt:
                 HalfInt(text)
         with pytest.raises(TypeError):
             HalfInt(1.5)
+
+    @pytest.mark.parametrize("text, twice", [
+        (" - - 3 / 2 ", 3), ("--5", 10),
+        ("3 2", None), ("/2", None), ("3/02", None), ("3/2/2", None),
+        ("\u00bd", None), ("", None),
+    ])
+    def test_literal_forms(self, text, twice):
+        if twice is not None:
+            assert HalfInt(text).twice == twice
+            return
+        with pytest.raises(InvalidParamsError) as err:
+            HalfInt(text)
+        assert str(err.value) == f"not a half-integer literal: {text!r}"
 
     def test_int_interop(self):
         assert HalfInt(2) + 1 == HalfInt(3)

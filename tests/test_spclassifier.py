@@ -281,6 +281,18 @@ class TestEnumerateSP:
         with pytest.raises(InvalidDatumError):
             enumerate_sp([CHI], s, HalfInt(3))
 
+    @pytest.mark.parametrize("max_b", [HalfInt(1), HalfInt(3), "1/2"], ids=["1", "3", "1/2"])
+    @pytest.mark.parametrize("labels", [[RHO, RHO], [RHO, RHO2, RHO]],
+                             ids=["rho,rho", "rho,rho2,rho"])
+    def test_repeated_label_refused_before_any_datum(self, monkeypatch, labels, max_b):
+        built = []
+        monkeypatch.setattr(spclassifier, "build_inducing_rep",
+                            lambda datum, *args, **kwargs: built.append(datum))
+        with pytest.raises(InvalidDatumError) as err:
+            enumerate_sp(labels, SIGMA, max_b)
+        assert str(err.value) == "condition (i) fails: labels are not mutually distinct"
+        assert built == []
+
     def test_injectivity_at_data_level(self):
         entries = enumerate_sp([RHO], SIGMA, HalfInt(4))
         seen = {}
