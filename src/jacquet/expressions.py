@@ -24,7 +24,7 @@ from collections.abc import Callable
 from typing import Optional
 
 from .errors import ExpressionError, SegmentError, UnknownLabelError, _checked
-from .grothendieck import GLMonomial, GUClass, TensorTerm
+from .grothendieck import GLMonomial, GUClass, TensorTerm, _product_text
 from .scalars import GUCuspidalLabel, HalfInt, Keyed, TRIVIAL_TWIST
 from .segments import Segment
 
@@ -51,7 +51,7 @@ class Expression(Keyed):
         return GLMonomial(self.gl_part)
 
     def __str__(self):
-        head = " x ".join(str(s) for s in self.gl_part) if self.gl_part else "1"
+        head = _product_text(self.gl_part)
         if self.gu_anchor is None:
             return head
         return f"{head} |x| {self.gu_anchor.name}"

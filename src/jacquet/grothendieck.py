@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from operator import attrgetter
+from sys import intern
 from typing import Iterable, Union
 
 from .errors import JacquetError, KindMismatchError, TermLimitError, _checked
@@ -203,7 +204,7 @@ def term_kind(term: Monomial) -> tuple:
 
 
 class FormalSum(Keyed):
-    """Exact Z-linear combination of canonical monomials of one kind."""
+    """Exact Z-linear sum of canonical monomials of one kind, from (monomial, int) pairs."""
 
     __slots__ = ("_terms",)
 
@@ -211,15 +212,23 @@ class FormalSum(Keyed):
         data: dict = {}
         kind = None
         items = terms.items() if isinstance(terms, dict) else terms
-        for term, mult in items:
-            if mult == 0:
-                continue
-            k = term_kind(term)
-            if kind is None:
-                kind = k
-            elif k != kind:
-                raise KindMismatchError(f"mixed term kinds {kind} and {k} in one sum")
-            data[term] = data.get(term, 0) + mult
+        try:
+            for term, mult in items:
+                k = term_kind(term)
+                if type(mult) is not int:
+                    raise KindMismatchError(f"a FormalSum multiplicity needs int, got {mult!r}")
+                if mult == 0:
+                    continue
+                if kind is None:
+                    kind = k
+                elif k != kind:
+                    raise KindMismatchError(f"mixed term kinds {kind} and {k} in one sum")
+                data[term] = data.get(term, 0) + mult
+        except JacquetError:
+            raise
+        except (TypeError, ValueError):  # not iterable, or an item is no pair
+            raise KindMismatchError(
+                f"a FormalSum needs (monomial, int) pairs, got {terms!r}") from None
         self._take(data)
 
     def _take(self, data: dict) -> None:
@@ -334,15 +343,13 @@ class FormalSum(Keyed):
             return "0"
         chunks = []
         for term, mult in self.sorted_items():
-            body = str(term)
-            if mult == 1:
-                chunk = body
-            elif mult == -1:
-                chunk = f"-{body}"
+            size = abs(mult)
+            body = str(term) if size == 1 else f"{size}*{term}"
+            if chunks:
+                chunks.append(f" - {body}" if mult < 0 else f" + {body}")
             else:
-                chunk = f"{mult}*{body}"
-            chunks.append(chunk)
-        return " + ".join(chunks).replace("+ -", "- ")
+                chunks.append(f"-{body}" if mult < 0 else body)
+        return "".join(chunks)
 
     def __repr__(self):
         return f"FormalSum({len(self._terms)} terms)"
@@ -386,44 +393,22 @@ def _bilinear(x: FormalSum, y: FormalSum, pair, what: str) -> FormalSum:
 # ---------------------------------------------------------------------------
 # JSON-friendly serialization (emit side; spclassifier.lj_from_obj parses datums).
 
-def _segment_to_obj(s: Segment) -> dict:
-    return {"rho": s.rho.name, "a": str(s.a), "b": str(s.b)}
-
-
-def _twist_to_obj(t: TwistTag) -> dict:
-    return {name: {"exp": exp, "nu": str(nu)} for name, exp, nu in t.entries}
-
-
-def _factor_obj(f, segment_obj) -> dict:
-    if isinstance(f, GLMonomial):
-        return {"segments": [segment_obj(s) for s in f.segments]}
-    if isinstance(f, GUClass):
-        return {
-            "segments": [segment_obj(s) for s in f.segments],
-            "sigma": f.sigma.name,
-            "twist": _twist_to_obj(f.twist),
-        }
-    raise KindMismatchError(f"not a factor: {f!r}")
-
-
-def _term_obj(term: Monomial, segment_obj) -> list:
-    factors = term.factors if isinstance(term, TensorTerm) else (term,)
-    return [_factor_obj(f, segment_obj) for f in factors]
-
-
 def factor_to_obj(f) -> dict:
-    return _factor_obj(f, _segment_to_obj)
+    """A factor's segments, and an anchor factor's sigma and twist."""
+    if not isinstance(f, (GLMonomial, GUClass)):
+        raise KindMismatchError(f"not a factor: {f!r}")
+    # A big sum repeats few bounds; interned, its tree holds one str per bound.
+    obj = {"segments": [{"rho": s.rho.name, "a": intern(str(s.a)), "b": intern(str(s.b))}
+                        for s in f.segments]}
+    if isinstance(f, GUClass):
+        obj["sigma"] = f.sigma.name
+        obj["twist"] = {name: {"exp": exp, "nu": str(nu)} for name, exp, nu in f.twist.entries}
+    return obj
 
 
 def sum_to_obj(s: FormalSum) -> list:
-    """Deterministic list-of-terms form: [{"mult": m, "term": [factors]}]."""
+    """The reference JSON form of a sum: [{"mult": m, "term": [factors]}]."""
     _checked("sum_to_obj", FormalSum, (s,))
-    fields: dict = {}  # segment key -> fields: a sum has few distinct segments
-
-    def segment_obj(seg: Segment) -> dict:
-        obj = fields.get(seg.key)
-        if obj is None:
-            obj = fields[seg.key] = _segment_to_obj(seg)
-        return dict(obj)  # every term gets dicts of its own
-
-    return [{"mult": m, "term": _term_obj(t, segment_obj)} for t, m in s.sorted_items()]
+    return [{"mult": m, "term": [factor_to_obj(f) for f in
+                                 (t.factors if isinstance(t, TensorTerm) else (t,))]}
+            for t, m in s.sorted_items()]

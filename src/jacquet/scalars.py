@@ -18,8 +18,8 @@ from functools import total_ordering
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import (InvalidParamsError, KindMismatchError, LabelConflictError,
-                     UnknownLabelError, _checked)
+from .errors import (InvalidParamsError, JacquetError, KindMismatchError,
+                     LabelConflictError, UnknownLabelError, _checked)
 
 __all__ = [
     "HalfInt",
@@ -298,16 +298,27 @@ class TwistTag(Keyed):
     Entries are (label name, exponent, accumulated nu-exponent sum); the
     nu sum is carried for display only and does not enter ``key``, the
     tuple of (name, exponent) pairs.  The trivial tag is the empty tuple.
+    A name must be a str and an exponent an int (not a bool); anything but
+    an iterable of such triples raises ``KindMismatchError``.
     """
 
     __slots__ = ("entries", "key")
 
     def __init__(self, entries: tuple = ()):
         merged: dict = {}
-        for name, exp, nu in entries:
-            nu = nu if isinstance(nu, HalfInt) else HalfInt(nu)
-            old_exp, old_nu = merged.get(name, (0, 0))
-            merged[name] = (old_exp + int(exp), old_nu + nu)
+        try:
+            for name, exp, nu in entries:
+                if type(name) is not str or type(exp) is not int:
+                    raise KindMismatchError("a TwistTag entry needs a str name and an int "
+                                            f"exponent, got {(name, exp, nu)!r}")
+                nu = nu if isinstance(nu, HalfInt) else HalfInt(nu)
+                old_exp, old_nu = merged.get(name, (0, 0))
+                merged[name] = (old_exp + exp, old_nu + nu)
+        except JacquetError:
+            raise
+        except (TypeError, ValueError):  # not iterable, or an item is no triple
+            raise KindMismatchError(
+                f"a TwistTag needs (name, exponent, nu) triples, got {entries!r}") from None
         out = tuple(
             (name, exp, nu)
             for name, (exp, nu) in sorted(merged.items())

@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import (
     InvalidDatumError,
     JacquetError,
+    KindMismatchError,
     TwistFixednessWarning,
     UndeclaredReducibilityError,
     _checked,
@@ -57,12 +58,14 @@ __all__ = [
 class JordSequence(Keyed):
     """One label's exponent sequence.  Construction is permissive; use
     ``validate_lj`` to check the classification conditions.  A ``rho`` that
-    is not a ``CuspidalGLLabel`` raises ``KindMismatchError``."""
+    is not a ``CuspidalGLLabel``, or a bare str ``b``, raises ``KindMismatchError``."""
 
     __slots__ = ("rho", "a", "b", "key")
 
     def __init__(self, rho: CuspidalGLLabel, a: "HalfInt | int | str", b):
         _checked("a JordSequence", CuspidalGLLabel, (rho,))
+        if isinstance(b, str):
+            raise KindMismatchError(f"a JordSequence needs a sequence of bounds, got {b!r}")
         b = _checked("a JordSequence", (HalfInt, int, str), b)
         a, b = HalfInt(a), tuple(map(HalfInt, b))
         self._fill(rho, a, b, (rho.name, a.twice, tuple(x.twice for x in b)))

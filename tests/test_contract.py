@@ -75,9 +75,6 @@ VALID_FOR = {
 
 # (public name, parameter) -> why a junk value there may raise a builtin error.
 OUTSIDE = {
-    ("FormalSum", "terms"): "unpacked as (monomial, multiplicity) pairs unchecked",
-    ("TwistTag", "entries"): "unpacked as (name, exponent, nu) triples unchecked, "
-                             "as the mu* fold builds a tag at every twist merge",
     ("GUCuspidalLabel", "reducibility"): "converted with dict()",
     ("GroupMode", "names"): "the functional API of the standard Enum",
 }

@@ -151,6 +151,31 @@ def test_sum_rejects_mixed_and_foreign_terms():
         TensorTerm(("x",))
 
 
+M1 = GLMonomial([S1])
+
+
+@pytest.mark.parametrize("terms, match", [
+    ({M1: 1.5}, "multiplicity needs int, got 1.5"),
+    ({M1: True}, "multiplicity needs int, got True"),
+    ({M1: "x"}, "multiplicity needs int, got 'x'"),
+    ([(M1, 2.0)], "multiplicity needs int, got 2.0"),
+    (5, "pairs, got 5"),
+    ("x", "pairs, got 'x'"),
+    ([M1], "pairs, got"),
+    ([(M1, 1, 1)], "pairs, got"),
+], ids=["float", "bool", "str", "float pair", "int", "str terms", "bare term", "triple"])
+def test_sum_needs_monomial_int_pairs(terms, match):
+    with pytest.raises(KindMismatchError, match=match):
+        FormalSum(terms)
+
+
+def test_sum_text_signs_leave_label_names_alone():
+    odd = GLMonomial([seg(CuspidalGLLabel("a+ -b"), 0, 0)])
+    assert str(FormalSum.of(odd)) == "d(0,0@a+ -b)"
+    assert str(FormalSum({odd: -2, M1: -1})) == "-2*d(0,0@a+ -b) - d(1,1@rho)"
+    assert str(FormalSum({odd: 1, M1: 3})) == "d(0,0@a+ -b) + 3*d(1,1@rho)"
+
+
 def test_tensor_multiply_of_zero():
     t = FormalSum.of(TensorTerm((GLMonomial([S1]), GLMonomial())))
     zero = FormalSum.zero()
@@ -215,6 +240,15 @@ def test_ring_axioms(x, y, z):
     assert times(x + y, z) == times(x, z) + times(y, z)
     one = FormalSum.of(one_slot(GLMonomial()))
     assert times(one, x) == x
+
+
+@given(glsum_strategy)
+def test_sum_text_matches_the_joined_form(x):
+    # Names without "+ -" print as the chunks joined by " + " with each
+    # "+ -" then read as "- ".
+    chunks = [str(t) if m == 1 else f"-{t}" if m == -1 else f"{m}*{t}"
+              for t, m in x.sorted_items()]
+    assert str(x) == (" + ".join(chunks).replace("+ -", "- ") if chunks else "0")
 
 
 @given(mono_strategy, mono_strategy)

@@ -182,6 +182,19 @@ class TestTwistTag:
         with pytest.raises(KindMismatchError):
             TRIVIAL_TWIST.without("rho")
 
+    @pytest.mark.parametrize("entry", [("rho", 1.5, 0), ("rho", "2", 0), ("rho", True, 0),
+                                       (1, 1, 0)],
+                             ids=["float exponent", "str exponent", "bool exponent", "int name"])
+    def test_entries_need_a_str_name_and_an_int_exponent(self, entry):
+        with pytest.raises(KindMismatchError, match="str name and an int exponent"):
+            TwistTag([entry])
+
+    @pytest.mark.parametrize("entries", [5, "abc", [("rho", 1)], None, [None]],
+                             ids=["int", "str", "pair", "None", "None entry"])
+    def test_entries_must_be_triples(self, entries):
+        with pytest.raises(KindMismatchError, match=r"needs \(name, exponent, nu\) triples"):
+            TwistTag(entries)
+
     @given(twist_entries, twist_entries)
     def test_commutative(self, t1, t2):
         assert t1.merge(t2) == t2.merge(t1)

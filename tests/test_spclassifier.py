@@ -316,6 +316,12 @@ class TestSPEntry:
                 spclassifier.SPEntry(*args)
 
 
+def test_jord_sequence_refuses_a_bare_str_b():
+    with pytest.raises(KindMismatchError, match="sequence of bounds, got '13'"):
+        JordSequence(RHO, 2, "13")
+    assert JordSequence(RHO, 2, ("1", "3")).b == (1, 3)
+
+
 class TestValidateLJ:
     def test_duplicate_label_fails_first_condition(self):
         j = JordSequence(RHO, HalfInt(2), (HalfInt(1), HalfInt(2)))
