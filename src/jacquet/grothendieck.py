@@ -90,8 +90,9 @@ class GLMonomial(Keyed):
         """Build from segments already in canonical order and their keys,
         unchecked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "segments", segments)
-        object.__setattr__(out, "key", key)
+        set_segments, set_key = cls._setters
+        set_segments(out, segments)
+        set_key(out, key)
         return out
 
     @classmethod
@@ -138,10 +139,11 @@ class GUClass(Keyed):
         """Build from segments already in canonical order, a twist with the
         anchor's twist-fixed entries already erased, and the key, unchecked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "segments", segments)
-        object.__setattr__(out, "sigma", sigma)
-        object.__setattr__(out, "twist", twist)
-        object.__setattr__(out, "key", key)
+        set_segments, set_sigma, set_twist, set_key = cls._setters
+        set_segments(out, segments)
+        set_sigma(out, sigma)
+        set_twist(out, twist)
+        set_key(out, key)
         return out
 
     @property
@@ -174,8 +176,9 @@ class TensorTerm(Keyed):
     def _trusted(cls, factors: tuple, key: tuple) -> "TensorTerm":
         """Build from factors known to be valid and their keys, unchecked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "factors", factors)
-        object.__setattr__(out, "key", key)
+        set_factors, set_key = cls._setters
+        set_factors(out, factors)
+        set_key(out, key)
         return out
 
     @property

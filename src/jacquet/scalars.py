@@ -38,9 +38,14 @@ class Keyed:
     value that holds another value puts that value's key or name in its
     own.  Equality, hashing and canonical output order all use ``key``.  A
     subclass declares ``__slots__``, ``key`` among them, and its
-    ``__init__`` stores every slot once through ``_fill``; no attribute
-    can be assigned or deleted after that, and copy and pickle (every
-    protocol) carry the slots through ``__getstate__``/``__setstate__``.
+    ``__init__`` stores every slot once through ``_fill``.  A slot is set
+    through its setter: the ``__set__`` of the slot's member descriptor,
+    which ``__init_subclass__`` records once per subclass in ``_setters``,
+    in ``__slots__`` order, so no call looks a slot up by name.  A trusted
+    constructor that skips ``__init__`` sets each slot through its setter
+    too.  No attribute can be assigned or deleted after that, and copy and
+    pickle (every protocol) carry the slots through
+    ``__getstate__``/``__setstate__``.
     Two subclasses differ: ``HalfInt`` compares by its one slot ``twice``
     and also equals ints, and ``FormalSum`` derives its key only when
     compared, with the terms in a frozenset.
@@ -48,10 +53,14 @@ class Keyed:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
     def _fill(self, *values) -> None:
         """Set the slots, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -102,7 +111,8 @@ class HalfInt(Keyed):
     def from_twice(cls, twice: int) -> "HalfInt":
         _checked("from_twice", int, (twice,))
         out = object.__new__(cls)
-        object.__setattr__(out, "twice", twice)
+        set_twice, = cls._setters
+        set_twice(out, twice)
         return out
 
     def is_integer(self) -> bool:
@@ -331,14 +341,27 @@ class TwistTag(Keyed):
         return not self.entries
 
     def merge(self, other: "TwistTag") -> "TwistTag":
-        """Componentwise sum of twist exponents; zero entries are pruned."""
+        """Componentwise sum of twist exponents and nu sums; zero entries
+        are pruned.
+
+        Both tags are valid already, so their entries are summed directly,
+        without the constructor's per-entry checks and ``HalfInt``
+        coercion.
+        """
         if not isinstance(other, TwistTag):  # the fold merges often: check only then
             _checked("TwistTag.merge", TwistTag, (other,))
         if self.is_trivial:
             return other
         if other.is_trivial:
             return self
-        return TwistTag(self.entries + other.entries)
+        merged: dict = {}
+        for name, exp, nu in self.entries + other.entries:
+            old = merged.get(name)
+            merged[name] = (exp, nu) if old is None else (old[0] + exp, old[1] + nu)
+        entries = tuple((name, exp, nu) for name, (exp, nu) in sorted(merged.items()) if exp)
+        out = object.__new__(TwistTag)
+        out._fill(entries, tuple((name, exp) for name, exp, _ in entries))
+        return out
 
     def inverse(self) -> "TwistTag":
         return TwistTag(tuple((n, -e, -nu) for n, e, nu in self.entries))

@@ -175,8 +175,10 @@ def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
                    max_b: "HalfInt | int", strict: bool = False) -> list:
     """All exponent sequences for one label, in lexicographic order.
 
-    a = 0 contributes the single empty sequence.
+    a = 0 contributes the single empty sequence.  A ``strict`` that is not
+    a bool raises ``KindMismatchError``.
     """
+    _checked("enumerate_jord strict", bool, (strict,))
     a = HalfInt(a)
     max_b = HalfInt(max_b)
     if a < 0:
@@ -191,8 +193,10 @@ def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
 
 
 def validate_lj(datum: LJDatum, strict: bool = False) -> LJValidation:
-    """Check the classification conditions, reporting each clause."""
+    """Check the classification conditions, reporting each clause.  A
+    ``strict`` that is not a bool raises ``KindMismatchError``."""
     _checked("validate_lj", LJDatum, (datum,))
+    _checked("validate_lj strict", bool, (strict,))
     checks = []
 
     names = [j.rho.name for j in datum.jord]
@@ -255,8 +259,10 @@ def build_inducing_rep(datum: LJDatum, strict: bool = False, *,
     Warns when a contributing label lacks declared twist-fixedness, which
     the necessary conditions require for a strongly positive subclass to
     exist at all.  ``_segments`` is for ``enumerate_sp``: the
-    ``segments()`` of each sequence of ``datum.jord``, already built.
+    ``segments()`` of each sequence of ``datum.jord``, already built.  A
+    ``strict`` that is not a bool raises ``KindMismatchError``.
     """
+    _checked("build_inducing_rep strict", bool, (strict,))
     report = validate_lj(datum, strict)
     if not report.ok:
         cond, message = report.first_violation
@@ -330,7 +336,9 @@ def leading_term_multiplicity(datum: LJDatum, mode: GroupMode = GroupMode.GU,
                               strict: bool = False) -> int:
     """Coefficient of the leading tensor term in the shape-matched Jacquet
     module of the inducing class.  The value 1 is the uniqueness signature
-    of a valid datum.  Invalid data are rejected before any computation."""
+    of a valid datum.  Invalid data are rejected before any computation,
+    and a ``strict`` that is not a bool raises ``KindMismatchError``."""
+    _checked("leading_term_multiplicity strict", bool, (strict,))
     return _leading_multiplicity(build_inducing_rep(datum, strict), mode)
 
 
@@ -402,11 +410,13 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     reducibility 0 contribute nothing.  Output order is the lexicographic
     product order and is deterministic.  A label that is not a
     ``CuspidalGLLabel``, or an anchor that is not a ``GUCuspidalLabel``,
-    raises ``KindMismatchError``; a repeated label, or a bound of another
-    type, raises ``InvalidDatumError``.
+    raises ``KindMismatchError``, as does a ``strict`` that is not a bool;
+    a repeated label, or a bound of another type, raises
+    ``InvalidDatumError``.
     """
     labels = _checked("enumerate_sp", CuspidalGLLabel, labels)
     _checked("enumerate_sp", GUCuspidalLabel, (sigma,))
+    _checked("enumerate_sp strict", bool, (strict,))
     if len(set(labels)) != len(labels):
         raise InvalidDatumError("condition (i) fails: labels are not mutually distinct")
     mode = GroupMode(mode)

@@ -183,12 +183,13 @@ def _comultiply(x, arity: int, layer: str) -> FormalSum:
     m* is multiplicative and coassociative, so the cuts of a GL monomial
     into ``arity`` ordered blocks, along every composition of its rank,
     are m* applied ``arity - 1`` times; M* moves the last block, the
-    pieces d([a,i]), to the front.  Linear over a sum of GL monomials.
-    ``layer`` names the caller in the ``TermLimitError`` raised as soon as
-    the output, or a split on the way to it, grows past the cap.
+    pieces d([a,i]), to the front.  Linear over a sum of GL monomials; an
+    empty segment is the unit, as it is in ``GLMonomial``.  ``layer``
+    names the caller in the ``TermLimitError`` raised as soon as the
+    output, or a split on the way to it, grows past the cap.
     """
     if isinstance(x, Segment):
-        monos = [((x,), 1)]
+        monos = [(() if x.is_empty else (x,), 1)]
     elif isinstance(x, GLMonomial):
         monos = [(x.segments, 1)]
     elif isinstance(x, FormalSum) and x.kind in (None, ("gl",)):
@@ -232,7 +233,10 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     multiplicity, so terms whose twists differ only in nu stay apart.  The
     last step builds the public terms through the trusted constructors,
     sharing each anchor factor among its terms, and merges them by their
-    public keys, which leave nu out.
+    public keys, which leave nu out.  An anchor's segment and key tuples
+    are built once per GU id tuple, for all its twists; a GL factor's key
+    tuple is also its part of the term key, and its merged ids stay a
+    sorted list, since they are only mapped to segments and keys.
 
     With ``rank``, only the terms whose GL factor has that rank are built.
     An M* term adds the rank of its dualized first and second pieces, so
@@ -326,6 +330,7 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     what, plan = plans[-1]
     seg_at, key_at = segs.__getitem__, keys.__getitem__
     new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
+    anchors: dict = {}    # GU ids -> (segments, their keys)
     gus: dict = {}        # (GU ids, rep id) -> GUClass
     moved_by = {}
     out: dict = {}
@@ -337,16 +342,20 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
         for (gl, gu, rid), ct in bucket.items():
             if moved is not None:
                 rid = moved[rid]
-            gl = tuple(sorted(low + gl))
-            gl_factor = new_gl(tuple(map(seg_at, gl)), tuple(map(key_at, gl)))
+            gl = sorted(low + gl)
+            gl_key = tuple(map(key_at, gl))
+            gl_factor = new_gl(tuple(map(seg_at, gl)), gl_key)
             gu = (tuple(sorted(mid + gu)), rid)
             gu_factor = gus.get(gu)
             if gu_factor is None:
+                ids = gu[0]
+                anchor = anchors.get(ids)
+                if anchor is None:
+                    anchor = anchors[ids] = (tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
                 twist = reps[rid]
-                gu_factor = gus[gu] = new_gu(
-                    tuple(map(seg_at, gu[0])), sigma, twist,
-                    (tuple(map(key_at, gu[0])), sigma.name, twist.key))
-            term = new_term((gl_factor, gu_factor), (gl_factor.key, gu_factor.key))
+                gu_factor = gus[gu] = new_gu(anchor[0], sigma, twist,
+                                             (anchor[1], sigma.name, twist.key))
+            term = new_term((gl_factor, gu_factor), (gl_key, gu_factor.key))
             size = len(out)
             old = out.setdefault(term, ct)
             if len(out) == size:

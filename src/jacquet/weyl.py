@@ -72,8 +72,9 @@ class SignedPermutation(Keyed):
     def _trusted(cls, window: tuple) -> "SignedPermutation":
         """Wrap a window known to be a signed bijection, unchecked."""
         w = object.__new__(cls)
-        object.__setattr__(w, "window", window)
-        object.__setattr__(w, "key", window)
+        set_window, set_key = cls._setters
+        set_window(w, window)
+        set_key(w, window)
         return w
 
     @classmethod

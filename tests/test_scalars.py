@@ -199,6 +199,14 @@ class TestTwistTag:
     def test_commutative(self, t1, t2):
         assert t1.merge(t2) == t2.merge(t1)
 
+    @given(twist_entries, twist_entries)
+    def test_merge_matches_the_constructor(self, t1, t2):
+        # merge skips the constructor's checks; the constructor is the
+        # reference, nu sums included.
+        merged = t1.merge(t2)
+        assert merged.entries == TwistTag(t1.entries + t2.entries).entries
+        assert merged.key == tuple((n, e) for n, e, _ in merged.entries)
+
     @given(twist_entries, twist_entries, twist_entries)
     def test_associative(self, t1, t2, t3):
         assert t1.merge(t2).merge(t3) == t1.merge(t2.merge(t3))

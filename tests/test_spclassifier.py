@@ -380,6 +380,29 @@ def test_validation_messages(call, message):
     assert str(err.value) == message
 
 
+DATUM = LJDatum((JordSequence(RHO, HalfInt(2), (HalfInt(1), HalfInt(2))),), SIGMA)
+
+# Each public function that takes ``strict``.  Read for its truth, "no"
+# would switch strict mode on.
+STRICT_CALLS = {
+    "enumerate_jord": lambda strict: enumerate_jord(RHO, 2, 3, strict),
+    "validate_lj": lambda strict: validate_lj(DATUM, strict),
+    "build_inducing_rep": lambda strict: build_inducing_rep(DATUM, strict),
+    "leading_term_multiplicity":
+        lambda strict: leading_term_multiplicity(DATUM, GroupMode.GU, strict),
+    "enumerate_sp": lambda strict: enumerate_sp([RHO], SIGMA, 3, strict=strict),
+}
+
+
+@pytest.mark.parametrize("name", STRICT_CALLS)
+def test_strict_must_be_a_bool(name):
+    call = STRICT_CALLS[name]
+    with pytest.raises(KindMismatchError, match="strict needs bool, got 'no'"):
+        call("no")
+    call(True)
+    call(False)
+
+
 class TestPartialCuspidalSupport:
     def test_anchor_survives_full_restriction(self):
         # every term of the fully cuspidal Jacquet module keeps the anchor,

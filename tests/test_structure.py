@@ -19,7 +19,6 @@ from jacquet import (
     InvalidParamsError,
     JacquetError,
     KindMismatchError,
-    SegmentError,
     Segment,
     ShapeError,
     TensorTerm,
@@ -87,9 +86,13 @@ class TestMstarGL:
             s = seg(RHO, 1, length)
             assert len(mstar_gl(s)) == length + 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(SegmentError):
-            mstar_gl(Segment.empty(RHO))
+    def test_empty_segment_is_the_unit(self):
+        # GLMonomial drops an empty segment, so both comultiply it as 1.
+        for empty in (Segment.empty(RHO), Segment.empty(CHI, 1)):
+            assert mstar_gl(empty) == mstar_gl(GLMonomial([empty])) == mstar_gl(GLMonomial())
+            assert mstar_big(empty) == mstar_big(GLMonomial([empty])) == mstar_big(GLMonomial())
+            assert str(mstar_gl(empty)) == "1 (x) 1"
+            assert str(mstar_big(empty)) == "1 (x) 1 (x) 1"
 
     def test_linear_and_multiplicative_on_sums(self):
         s, t = seg(RHO, 0, 1), seg(CHI, 1, 1)

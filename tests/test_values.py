@@ -27,6 +27,7 @@ from jacquet import (
     enumerate_geom_params,
     enumerate_jord,
     enumerate_sp,
+    jacquet_by_shape,
     mu_star,
     SPConditions,
     validate_lj,
@@ -41,6 +42,14 @@ S1 = seg(RHO, 0, 2)
 S2 = seg(CHI, h(1), h(3))
 G = GUClass([S2, S1], SIGMA, TWIST)
 JORD = JordSequence(RHO, 1, (h(1), 2))
+# Built by trusted paths, without __init__: a mu* term whose factors both
+# hold segments and whose anchor twist the fold merged, a two-block
+# Jacquet term, and the two scalar shortcuts.
+MU_TERM = next(t for t, _ in mu_star(G).sorted_items()
+               if t.factors[0].segments and t.factors[1].segments
+               and t.factors[1].twist != TWIST)
+JACQUET_TERM = next(iter(jacquet_by_shape(G, (1, 2)).terms()))
+MERGED = TWIST.merge(TwistTag((("chi", 1, h(1)), ("rho", -2, 3))))
 
 
 # Bad constructor input: what it builds, the error and a pattern the
@@ -133,6 +142,23 @@ VALUES = {
     "sp entry": (enumerate_sp([RHO], SIGMA, 2)[1],
                  ("datum", "inducing", "constraints_ok", "leading_multiplicity", "key")),
     "expression": (Expression((S1, S2), SIGMA), ("gl_part", "gu_anchor", "key")),
+    "mu_star term": (MU_TERM, ("factors", "key")),
+    "mu_star gl factor": (MU_TERM.factors[0], ("segments", "key")),
+    "mu_star gu factor": (MU_TERM.factors[1], ("segments", "sigma", "twist", "key")),
+    "jacquet_by_shape term": (JACQUET_TERM, ("factors", "key")),
+    "half int from_twice": (HalfInt.from_twice(5), ("twice",)),
+    "twist merge": (MERGED, ("entries", "key")),
+}
+
+# The values above built by a trusted path, each with the public
+# constructor call that builds it from the same fields.
+TRUSTED = {
+    "mu_star term": lambda t: TensorTerm(t.factors),
+    "mu_star gl factor": lambda m: GLMonomial(m.segments),
+    "mu_star gu factor": lambda g: GUClass(g.segments, g.sigma, g.twist),
+    "jacquet_by_shape term": lambda t: TensorTerm(t.factors),
+    "half int from_twice": lambda x: HalfInt(f"{x.twice}/2"),
+    "twist merge": lambda t: TwistTag(t.entries),
 }
 
 ROUND_TRIPS = {
@@ -159,6 +185,17 @@ def test_values_are_frozen_and_round_trip(name, trip):
         assert getattr(back, attr) == getattr(value, attr)
         with pytest.raises(AttributeError):
             setattr(back, attr, getattr(back, attr))
+
+
+@pytest.mark.parametrize("name", TRUSTED)
+def test_trusted_values_match_the_public_constructor(name):
+    value = VALUES[name][0]
+    built = TRUSTED[name](value)
+    assert type(built) is type(value)
+    for slot in type(value).__slots__:
+        assert getattr(built, slot) == getattr(value, slot), slot
+        assert type(getattr(built, slot)) is type(getattr(value, slot)), slot
+    assert hash(built) == hash(value) and str(built) == str(value)
 
 
 @pytest.mark.parametrize("trip", ROUND_TRIPS)
