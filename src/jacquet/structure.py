@@ -56,11 +56,21 @@ coefficient asking for the target's blocks alone.  ``mstar_gl``,
 ``mstar_big`` and ``jacquet_by_shape`` cut, merge and build their output
 in one loop, ``_BlockCutter.build``.  Every fold step, split and output
 checks JACQUET_MAX_TERMS as each new term enters it.
+
+``_collector_paused`` pauses Python's cyclic garbage collector for the
+length of the three calls whose output grows with the answer: ``_fold``,
+``_BlockCutter.build`` and ``_coefficient``.  Nothing they build forms a
+reference cycle, so the collector's passes over their growing output
+would only cost time; ``_BlockCutter.top_cuts`` extends partial cuts in
+a loop, not through a closure that calls itself, for the same reason.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import gc
+import threading
 from typing import Sequence
 
 from .errors import (
@@ -93,6 +103,38 @@ __all__ = [
     "mu_star_of_segments",
     "jacquet_by_shape",
 ]
+
+
+_PAUSE_LOCK = threading.Lock()
+_paused_calls = 0       # calls inside the current pause, in every thread
+_resume = False         # whether the current pause disabled the collector
+
+
+def _collector_paused(func):
+    """``func``, run with Python's cyclic garbage collector paused.
+
+    The engine's tuples, dicts and terms never form a cycle, so the
+    collector's passes over a growing result only cost time.  The first
+    of overlapping calls, in any thread, disables the collector if it is
+    enabled; the last one to leave, on every path, enables it again, and
+    only if the pause disabled it.  A caller's own ``gc.disable()`` stays.
+    """
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        global _paused_calls, _resume
+        with _PAUSE_LOCK:
+            if not _paused_calls:
+                _resume = gc.isenabled()
+                gc.disable()
+            _paused_calls += 1
+        try:
+            return func(*args, **kwargs)
+        finally:
+            with _PAUSE_LOCK:
+                _paused_calls -= 1
+                if not _paused_calls and _resume:
+                    gc.enable()
+    return paused
 
 
 class GroupMode(enum.Enum):
@@ -217,6 +259,7 @@ def mstar_big(x) -> FormalSum:
     return _comultiply(x, 3, "mstar_big")
 
 
+@_collector_paused
 def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
           layer: str, rank: int | None = None, keep=None) -> FormalSum:
     """mu* of the class of ``segments`` over ``sigma`` twisted by ``twist``,
@@ -487,22 +530,24 @@ class _BlockCutter:
         room = [0] * (n + 1)
         for k in range(n - 1, -1, -1):
             room[k] = room[k + 1] + tables[k][-1][0]
+        # Cut one segment after another, extending every partial vector in
+        # turn, so the vectors come out in the order of a depth-first walk.
+        partial = [(rank, (), ())]      # (rank still to place, tops, bottoms)
+        for table, fits in zip(tables, room[1:]):
+            longer = []
+            for left, tops, bottoms in partial:
+                for r, top, bottom in table:
+                    if r > left:
+                        break
+                    if within is not None and top and top[0] not in within:
+                        continue
+                    if left - r <= fits:
+                        longer.append((left - r, tops + top, bottoms + bottom))
+            partial = longer
         out: dict = {}
-
-        def choose(k, left, tops, bottoms):
-            if k == n:
-                pair = (self.block(tuple(sorted(tops))), tuple(sorted(bottoms)))
-                out[pair] = out.get(pair, 0) + 1
-                return
-            for r, top, bottom in tables[k]:
-                if r > left:
-                    break
-                if within is not None and top and top[0] not in within:
-                    continue
-                if left - r <= room[k + 1]:
-                    choose(k + 1, left - r, tops + top, bottoms + bottom)
-
-        choose(0, rank, (), ())
+        for _, tops, bottoms in partial:
+            pair = (self.block(tuple(sorted(tops))), tuple(sorted(bottoms)))
+            out[pair] = out.get(pair, 0) + 1
         return out
 
     def split(self, mono: tuple, blocks: tuple, want=None) -> list:
@@ -541,6 +586,7 @@ class _BlockCutter:
             found = self.memo[key] = list(out.items())
         return found
 
+    @_collector_paused
     def build(self, sources, last_first: bool = False) -> FormalSum:
         """The sum over ``sources``, each (GL key, multiplicity, shapes,
         trailing factor or None), of the multiplicity times every cut of
@@ -625,6 +671,7 @@ def _exponents(segments) -> dict:
     return out
 
 
+@_collector_paused
 def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> int:
     """``jacquet_by_shape(g, shape, mode).coefficient(target)``, without
     building the module.

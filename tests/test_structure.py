@@ -1,10 +1,13 @@
 """The comultiplication engine against its defining formulas and oracles."""
 
+import gc
 import itertools
 import json
 import math
 import random
 import re
+import threading
+import types
 
 import pytest
 
@@ -34,6 +37,7 @@ from jacquet import (
     tensor_multiply,
     twisted_rtimes,
 )
+from jacquet import structure
 from jacquet.grothendieck import sum_to_obj
 from jacquet.spclassifier import _leading_multiplicity
 from jacquet.structure import _coefficient
@@ -1097,3 +1101,151 @@ class TestCoefficient:
         target = TensorTerm((mono(a, b),) * 3 + (GUClass([], sigma),))
         monkeypatch.setenv("JACQUET_MAX_TERMS", str(cap))
         assert _coefficient(g, (2, 2, 2), target) == 36
+
+
+def _cyclic_garbage(call) -> int:
+    """The number of objects that ``call()`` leaves unreachable and only
+    the cyclic collector can free; a ``TermLimitError`` it raises is
+    dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            call()
+        except TermLimitError:
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """The engine pauses the cyclic garbage collector while it builds a
+    result, which is safe because its objects form no cycle."""
+
+    A = [seg(RHO, 0, 1), seg(RHO, 1, 2), seg(RHO, 2, 3)]
+
+    def calls(self) -> dict:
+        g = GUClass(self.A, SIGMA)
+        leading = TensorTerm(tuple(mono(s) for s in self.A) + (GUClass([], SIGMA),))
+        return {
+            "mu_star GU": lambda: mu_star(g),
+            "mu_star U": lambda: mu_star(g, GroupMode.U),
+            "mu_star GU rank 3": lambda: mu_star(g, GroupMode.GU, 3),
+            "mu_star U rank 3": lambda: mu_star(g, GroupMode.U, 3),
+            "jacquet_by_shape 1^6": lambda: jacquet_by_shape(g, (1,) * 6),
+            "coefficient": lambda: _coefficient(g, (2, 2, 2), leading),
+            "mstar_gl": lambda: mstar_gl(GLMonomial(self.A)),
+            "mstar_big": lambda: mstar_big(GLMonomial(self.A)),
+            "enumerate_sp": lambda: enumerate_sp([RHO], _sp_anchor("2"), 4),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "mu_star GU", "mu_star U", "mu_star GU rank 3", "mu_star U rank 3",
+        "jacquet_by_shape 1^6", "coefficient", "mstar_gl", "mstar_big", "enumerate_sp"])
+    def test_a_call_leaves_no_cyclic_garbage(self, name):
+        assert _cyclic_garbage(self.calls()[name]) == 0
+
+    @pytest.mark.parametrize("name, cap", [
+        ("mu_star GU", 60), ("jacquet_by_shape 1^6", 2000), ("coefficient", 1)])
+    def test_a_stopped_call_leaves_no_cyclic_garbage(self, name, cap, monkeypatch):
+        call = self.calls()[name]
+        monkeypatch.setenv("JACQUET_MAX_TERMS", str(cap))
+        with pytest.raises(TermLimitError):
+            call()
+        assert _cyclic_garbage(call) == 0
+
+    def test_paused_during_a_call_and_resumed_after(self, monkeypatch):
+        seen = []
+        max_terms, split = structure._max_terms, structure._BlockCutter.split
+
+        def spied_max_terms():
+            seen.append(("fold", gc.isenabled()))
+            return max_terms()
+
+        def spied_split(cutter, *args):
+            seen.append(("split", gc.isenabled()))
+            return split(cutter, *args)
+
+        # _max_terms is read by _fold, and by _BlockCutter before it builds.
+        monkeypatch.setattr(structure, "_max_terms", spied_max_terms)
+        monkeypatch.setattr(structure._BlockCutter, "split", spied_split)
+        g = GUClass(self.A, SIGMA)
+        mu_star(g)
+        assert seen == [("fold", False)] and gc.isenabled()
+        seen.clear()
+        mstar_gl(GLMonomial(self.A))
+        assert seen[0] == ("fold", True) and set(seen[1:]) == {("split", False)}
+        assert gc.isenabled()
+        monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
+        for call in (lambda: mu_star(g), lambda: mstar_gl(GLMonomial(self.A))):
+            with pytest.raises(TermLimitError):
+                call()
+            assert gc.isenabled()
+
+    def test_a_callers_disable_stays(self, monkeypatch):
+        gc.disable()
+        try:
+            for call in self.calls().values():
+                call()
+            monkeypatch.setenv("JACQUET_MAX_TERMS", "5")
+            with pytest.raises(TermLimitError):
+                mu_star(GUClass(self.A, SIGMA))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nested_pause_resumes_once(self, monkeypatch):
+        # _coefficient folds with _fold inside its own pause, then splits.
+        events = []
+
+        def record(event, act):
+            def recorded():
+                events.append(event)
+                act()
+            return recorded
+
+        monkeypatch.setattr(structure, "gc", types.SimpleNamespace(
+            isenabled=gc.isenabled, disable=record("disable", gc.disable),
+            enable=record("enable", gc.enable)))
+        split = structure._BlockCutter.split
+
+        def spied_split(cutter, *args):
+            events.append(("split", gc.isenabled()))
+            return split(cutter, *args)
+
+        monkeypatch.setattr(structure._BlockCutter, "split", spied_split)
+        assert self.calls()["coefficient"]() == 1
+        assert events[0] == "disable" and events[-1] == "enable"
+        assert set(events[1:-1]) == {("split", False)}
+        assert gc.isenabled()
+
+    def test_overlapping_calls_in_two_threads(self, monkeypatch):
+        # Both folds meet at the barrier, inside the pause; the second
+        # waits until the first call has returned, which must leave the
+        # collector paused, and the second to leave resumes it.
+        barrier, first_left = threading.Barrier(2, timeout=30), threading.Event()
+        max_terms = structure._max_terms
+
+        def meet():
+            barrier.wait()
+            if threading.current_thread() is second:
+                assert first_left.wait(30)
+            return max_terms()
+
+        monkeypatch.setattr(structure, "_max_terms", meet)
+        g = GUClass(self.A, SIGMA)
+        seen = []
+
+        def first_call():
+            mu_star(g)
+            seen.append(gc.isenabled())
+            first_left.set()
+
+        first = threading.Thread(target=first_call)
+        second = threading.Thread(target=mu_star, args=(g,))
+        first.start()
+        second.start()
+        first.join()
+        second.join()
+        assert seen == [False] and gc.isenabled()
