@@ -32,9 +32,9 @@ import sys
 from .errors import JacquetError, UnknownLabelError
 from .expressions import Expression, parse_expression, parse_tensor_target, target_term
 from .grothendieck import FormalSum, GUClass
-from .scalars import DUAL_MARKER, HalfInt, LabelRegistry
+from .scalars import DUAL_MARKER, GroupMode, HalfInt, LabelRegistry
 from .spclassifier import enumerate_sp, lj_from_obj, validate_lj
-from .structure import GroupMode, _coefficient, jacquet_by_shape, mstar_big, mu_star
+from .structure import _coefficient, jacquet_by_shape, mstar_big, mu_star
 from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
 
 __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]

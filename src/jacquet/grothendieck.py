@@ -135,15 +135,16 @@ class GUClass(Keyed):
 
     @classmethod
     def _trusted(cls, segments: tuple, sigma: GUCuspidalLabel, twist: TwistTag,
-                 key: tuple) -> "GUClass":
-        """Build from segments already in canonical order, a twist with the
-        anchor's twist-fixed entries already erased, and the key, unchecked."""
+                 segment_keys: tuple) -> "GUClass":
+        """Build from segments already in canonical order, their keys and a
+        twist with the anchor's twist-fixed entries already erased,
+        unchecked; the key is laid out here, as in the constructor."""
         out = object.__new__(cls)
         set_segments, set_sigma, set_twist, set_key = cls._setters
         set_segments(out, segments)
         set_sigma(out, sigma)
         set_twist(out, twist)
-        set_key(out, key)
+        set_key(out, (segment_keys, sigma.name, twist.key))
         return out
 
     @property

@@ -7,11 +7,14 @@ facts the calculus ever consults are a label's name, its GL rank, whether it
 is conjugate self-dual, and (for the anchor labels of the bigger group) the
 declared reducibility points and twist-fixedness.  Half-integers, labels,
 twist tags and every value type built on them derive from ``Keyed``, which
-makes them immutable once constructed.
+makes them immutable once constructed.  The twist group law, ``_product``,
+and ``GroupMode``, which says whether the pairing twists at all, sit here
+beside ``TwistTag``, so a layer that needs them imports this module alone.
 """
 
 from __future__ import annotations
 
+import enum
 import re
 import threading
 from functools import total_ordering
@@ -27,6 +30,7 @@ __all__ = [
     "GUCuspidalLabel",
     "TwistTag",
     "TRIVIAL_TWIST",
+    "GroupMode",
     "LabelRegistry",
 ]
 
@@ -264,9 +268,11 @@ class GUCuspidalLabel(Keyed):
     declared to fix this anchor, which lets the engine erase the
     corresponding twist tags at canonicalization.
     A rank that is not an int >= 0, or a negative point, raises
-    ``InvalidParamsError``; a ``name`` that is not a str, a GL entry that
-    is not a ``CuspidalGLLabel``, or a ``twist_fixed`` that is not
-    iterable, raises ``KindMismatchError``.
+    ``InvalidParamsError``; a ``name`` that is not a str, a
+    ``reducibility`` that ``dict()`` refuses, a GL entry that is not a
+    ``CuspidalGLLabel``, or a ``twist_fixed`` that is not iterable, raises
+    ``KindMismatchError``.  ``LabelRegistry.declare_gu`` passes its
+    arguments here unconverted, so it raises the same.
     Equality and hashing go by name, as for ``CuspidalGLLabel``.
     """
 
@@ -278,7 +284,11 @@ class GUCuspidalLabel(Keyed):
         _checked("a GU label name", str, (name,))
         if type(rank) is not int or rank < 0:
             raise InvalidParamsError(f"label {name!r}: rank must be an int >= 0, got {rank!r}")
-        red = dict(reducibility or {})
+        try:
+            red = dict(reducibility or {})
+        except (TypeError, ValueError):
+            raise KindMismatchError(f"label {name!r}: reducibility needs a mapping or "
+                                    f"(label, point) pairs, got {reducibility!r}") from None
         _checked(f"label {name!r}: reducibility", CuspidalGLLabel, red)
         fixed = frozenset(_checked(f"label {name!r}: twist_fixed", CuspidalGLLabel,
                                    twist_fixed))
@@ -302,12 +312,26 @@ class GUCuspidalLabel(Keyed):
         return f"GUCuspidalLabel({self.name!r}, rank={self.rank})"
 
 
+def _product(entries) -> tuple:
+    """(entries, key) of the product of valid twist entries, the one twist
+    group law: exponents and nu sums add up per name, names whose exponent
+    comes to 0 drop out, and the rest sort by name."""
+    merged: dict = {}
+    for name, exp, nu in entries:
+        old = merged.get(name)
+        merged[name] = (exp, nu) if old is None else (old[0] + exp, old[1] + nu)
+    out = tuple((name, exp, nu) for name, (exp, nu) in sorted(merged.items()) if exp)
+    return out, tuple((name, exp) for name, exp, _ in out)
+
+
 class TwistTag(Keyed):
     """Formal product of central-character twists, as a free abelian group element.
 
     Entries are (label name, exponent, accumulated nu-exponent sum); the
     nu sum is carried for display only and does not enter ``key``, the
     tuple of (name, exponent) pairs.  The trivial tag is the empty tuple.
+    The constructor checks its entries, then reduces them by the group
+    law ``_product``, as ``merge`` does.
     A name must be a str and an exponent an int (not a bool); anything but
     an iterable of such triples raises ``KindMismatchError``.
     """
@@ -315,52 +339,35 @@ class TwistTag(Keyed):
     __slots__ = ("entries", "key")
 
     def __init__(self, entries: tuple = ()):
-        merged: dict = {}
+        checked = []
         try:
             for name, exp, nu in entries:
                 if type(name) is not str or type(exp) is not int:
                     raise KindMismatchError("a TwistTag entry needs a str name and an int "
                                             f"exponent, got {(name, exp, nu)!r}")
-                nu = nu if isinstance(nu, HalfInt) else HalfInt(nu)
-                old_exp, old_nu = merged.get(name, (0, 0))
-                merged[name] = (old_exp + exp, old_nu + nu)
+                checked.append((name, exp, nu if isinstance(nu, HalfInt) else HalfInt(nu)))
         except JacquetError:
             raise
         except (TypeError, ValueError):  # not iterable, or an item is no triple
             raise KindMismatchError(
                 f"a TwistTag needs (name, exponent, nu) triples, got {entries!r}") from None
-        out = tuple(
-            (name, exp, nu)
-            for name, (exp, nu) in sorted(merged.items())
-            if exp != 0
-        )
-        self._fill(out, tuple((n, e) for n, e, _ in out))
+        self._fill(*_product(checked))
 
     @property
     def is_trivial(self) -> bool:
         return not self.entries
 
     def merge(self, other: "TwistTag") -> "TwistTag":
-        """Componentwise sum of twist exponents and nu sums; zero entries
-        are pruned.
-
-        Both tags are valid already, so their entries are summed directly,
-        without the constructor's per-entry checks and ``HalfInt``
-        coercion.
-        """
+        """The product of two tags by ``_product``, without the constructor's
+        per-entry checks and ``HalfInt`` coercion: both are valid already."""
         if not isinstance(other, TwistTag):  # the fold merges often: check only then
             _checked("TwistTag.merge", TwistTag, (other,))
         if self.is_trivial:
             return other
         if other.is_trivial:
             return self
-        merged: dict = {}
-        for name, exp, nu in self.entries + other.entries:
-            old = merged.get(name)
-            merged[name] = (exp, nu) if old is None else (old[0] + exp, old[1] + nu)
-        entries = tuple((name, exp, nu) for name, (exp, nu) in sorted(merged.items()) if exp)
         out = object.__new__(TwistTag)
-        out._fill(entries, tuple((name, exp) for name, exp, _ in entries))
+        out._fill(*_product(self.entries + other.entries))
         return out
 
     def inverse(self) -> "TwistTag":
@@ -389,6 +396,22 @@ class TwistTag(Keyed):
 
 
 TRIVIAL_TWIST = TwistTag()
+
+
+class GroupMode(enum.Enum):
+    """Selects the twist semantics of the pairing.
+
+    GU: the dualized factor twists the anchor by its central character.
+    U:  no twist is ever produced.
+    ``GroupMode(mode)`` raises ``JacquetError`` for a value not listed here.
+    """
+
+    GU = "GU"
+    U = "U"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise JacquetError(f"unknown group mode {value!r}")
 
 
 class LabelRegistry:
@@ -432,7 +455,7 @@ class LabelRegistry:
     def declare_gu(self, name: str, rank: int = 0,
                    reducibility: "Mapping[CuspidalGLLabel, HalfInt] | None" = None,
                    twist_fixed: Iterable = ()) -> GUCuspidalLabel:
-        label = GUCuspidalLabel(name, rank, reducibility or {}, frozenset(twist_fixed))
+        label = GUCuspidalLabel(name, rank, reducibility, twist_fixed)
         return self._declare(self._gu, "GU", (label,))
 
     def gl(self, name: str) -> CuspidalGLLabel:

@@ -32,13 +32,14 @@ from .errors import (
 from .grothendieck import GLMonomial, GUClass, TensorTerm, factor_to_obj
 from .scalars import (
     CuspidalGLLabel,
+    GroupMode,
     GUCuspidalLabel,
     HalfInt,
     Keyed,
     TRIVIAL_TWIST,
 )
 from .segments import Segment
-from .structure import GroupMode, _coefficient
+from .structure import _coefficient
 
 __all__ = [
     "JordSequence",
@@ -349,8 +350,7 @@ def _leading_multiplicity(rep: GUClass, mode: GroupMode) -> int:
     shape = tuple(seg.rank for seg in rep.segments)
     # Built trusted: each block is one canonical segment, the anchor bare.
     blocks = tuple(GLMonomial._trusted((seg,), (seg.key,)) for seg in rep.segments)
-    anchor = GUClass._trusted((), rep.sigma, TRIVIAL_TWIST,
-                              ((), rep.sigma.name, TRIVIAL_TWIST.key))
+    anchor = GUClass._trusted((), rep.sigma, TRIVIAL_TWIST, ())
     target = TensorTerm._trusted(blocks + (anchor,),
                                  tuple(b.key for b in blocks) + (anchor.key,))
     return _coefficient(rep, shape, target, mode)

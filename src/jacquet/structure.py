@@ -11,7 +11,8 @@ This module computes, entirely at the level of formal classes:
   with a (GL, GU) term: the first factor is dualized and lands in the GL
   slot together with the second and fourth factors, the third factor is
   pushed onto the anchor, and in GU mode the dualized factor contributes a
-  central-character twist (U mode contributes none);
+  central-character twist (U mode contributes none; ``GroupMode`` and the
+  twist group law live in ``scalars``);
 * ``mu_star``    -- the full structure formula, folding the pairing over
   the segment list of a class, or its rank-k part alone: the terms whose
   GL factor has rank k, the Jacquet module along the maximal parabolic of
@@ -36,7 +37,8 @@ All functions are pure; the table only saves work.
 Both hot loops run on segment ids within one call, numbered by
 ``_numbering`` in canonical key order, so a sorted id tuple is a
 canonical GL factor: its public form is read off by id and built once,
-through the trusted constructors of ``grothendieck``.  ``mu_star`` and
+through the trusted constructors of ``grothendieck`` (an anchor's key is
+laid out by ``GUClass._trusted`` alone).  ``mu_star`` and
 ``_coefficient`` run one fold kernel, ``_fold``, which folds a class from
 its bare anchor: it numbers every segment its steps can produce and, at
 every step but the last, merges terms in a dict keyed by id tuples and an
@@ -67,7 +69,6 @@ a loop, not through a closure that calls itself, for the same reason.
 
 from __future__ import annotations
 
-import enum
 import functools
 import gc
 import threading
@@ -75,7 +76,6 @@ from typing import Sequence
 
 from .errors import (
     InvalidParamsError,
-    JacquetError,
     KindMismatchError,
     SegmentError,
     ShapeError,
@@ -91,11 +91,10 @@ from .grothendieck import (
     _max_terms,
     _over_cap,
 )
-from .scalars import HalfInt, TwistTag, TRIVIAL_TWIST, GUCuspidalLabel
+from .scalars import GroupMode, GUCuspidalLabel, HalfInt, TwistTag, TRIVIAL_TWIST
 from .segments import Segment
 
 __all__ = [
-    "GroupMode",
     "mstar_gl",
     "mstar_big",
     "twisted_rtimes",
@@ -135,22 +134,6 @@ def _collector_paused(func):
                 if not _paused_calls and _resume:
                     gc.enable()
     return paused
-
-
-class GroupMode(enum.Enum):
-    """Selects the twist semantics of the pairing.
-
-    GU: the dualized factor twists the anchor by its central character.
-    U:  no twist is ever produced.
-    ``GroupMode(mode)`` raises ``JacquetError`` for a value not listed here.
-    """
-
-    GU = "GU"
-    U = "U"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise JacquetError(f"unknown group mode {value!r}")
 
 
 def _omega_of(segments: tuple) -> TwistTag:
@@ -395,9 +378,7 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
                 anchor = anchors.get(ids)
                 if anchor is None:
                     anchor = anchors[ids] = (tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
-                twist = reps[rid]
-                gu_factor = gus[gu] = new_gu(anchor[0], sigma, twist,
-                                             (anchor[1], sigma.name, twist.key))
+                gu_factor = gus[gu] = new_gu(anchor[0], sigma, reps[rid], anchor[1])
             term = new_term((gl_factor, gu_factor), (gl_key, gu_factor.key))
             size = len(out)
             old = out.setdefault(term, ct)

@@ -23,6 +23,8 @@ they are checked against.  The oracle takes every element's length once
 and walks each double coset W_I g W_J once, from its first element g in
 (length, window) order, as the closure of g under left multiplication by
 the simple reflections of I and right multiplication by those of J.
+This layer imports ``errors`` and ``scalars`` alone: ``GroupMode``, which
+``levi_action`` reads, sits in ``scalars``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .errors import (
     NonBijectionError,
     _checked,
 )
-from .scalars import Keyed
-from .structure import GroupMode
+from .scalars import GroupMode, Keyed
 
 __all__ = [
     "SignedPermutation",

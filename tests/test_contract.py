@@ -75,7 +75,6 @@ VALID_FOR = {
 
 # (public name, parameter) -> why a junk value there may raise a builtin error.
 OUTSIDE = {
-    ("GUCuspidalLabel", "reducibility"): "converted with dict()",
     ("GroupMode", "names"): "the functional API of the standard Enum",
 }
 

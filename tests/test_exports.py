@@ -1,7 +1,10 @@
-"""Export lists and import cost: every name a module lists in ``__all__``
+"""Export lists and imports: every name a module lists in ``__all__``
 exists and, outside the command line, is exported by the package root;
-the command-line module loads no code generators."""
+the command-line module loads no code generators; and the modules import
+each other without a cycle, the Weyl layer only the errors and scalars."""
 
+import ast
+import graphlib
 import importlib
 import os
 import pkgutil
@@ -51,3 +54,35 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _internal_imports() -> dict:
+    """Module -> the package modules it imports, read from the source with
+    ``ast``; the package root and the ``__main__`` script are left out, as
+    the root imports every module."""
+    src = Path(jacquet.__file__).resolve().parent
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jacquet."):
+                deps.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                deps.update(a.name.split(".")[1] for a in node.names
+                            if a.name.startswith("jacquet."))
+        graph[path.stem] = deps
+    return graph
+
+
+def test_internal_imports_form_a_dag():
+    # ``sys.modules`` cannot show this: importing any module runs the
+    # package root, which imports them all.
+    graph = _internal_imports()
+    assert set().union(*graph.values()) <= set(graph)
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert set(order) == set(graph)
+    assert graph["weyl"] == {"errors", "scalars"}

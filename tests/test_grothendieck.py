@@ -68,6 +68,21 @@ def test_guclass_twist_erasure():
     assert g.twist.key == (("tau", 1),)
 
 
+@pytest.mark.parametrize("segments, twist", [
+    ((), TwistTag()),
+    ((S2, S3, S1), TwistTag()),
+    ((S1,), TwistTag((("rho", 1, h(2)), ("tau", -2, h(1))))),
+], ids=["bare anchor", "with segments", "twisted"])
+def test_trusted_anchor_key_matches_the_constructor(segments, twist):
+    # The trusted constructor lays out the anchor key itself, from the
+    # segment keys it is given.
+    public = GUClass(segments, SIGMA, twist)
+    trusted = GUClass._trusted(public.segments, SIGMA, public.twist,
+                               tuple(s.key for s in public.segments))
+    assert trusted.key == public.key
+    assert trusted == public and hash(trusted) == hash(public)
+
+
 def test_tensor_term_gu_only_last():
     with pytest.raises(KindMismatchError):
         TensorTerm((GUClass([], SIGMA), GLMonomial()))

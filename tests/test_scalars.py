@@ -142,6 +142,33 @@ twist_entries = st.lists(
 ).map(lambda entries: TwistTag(tuple(entries)))
 
 
+raw_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "a~"]),
+        st.integers(-3, 3),
+        st.one_of(st.integers(-3, 3), st.integers(-6, 6).map(h)),
+    ),
+    max_size=6,
+)
+
+
+def group_law(entries) -> list:
+    """The twist group law written out plainly: exponents and nu sums
+    added up per name, zero exponents dropped, names sorted."""
+    exps, nus = {}, {}
+    for name, exp, nu in entries:
+        exps[name] = exps.get(name, 0) + exp
+        nus[name] = nus.get(name, 0) + (Fraction(nu.twice, 2) if isinstance(nu, HalfInt)
+                                        else Fraction(nu))
+    return [(name, exps[name], nus[name]) for name in sorted(exps) if exps[name] != 0]
+
+
+def law_of(tag: TwistTag) -> list:
+    """A tag's entries in the oracle's form, after checking its key."""
+    assert tag.key == tuple((name, exp) for name, exp, _ in tag.entries)
+    return [(name, exp, Fraction(nu.twice, 2)) for name, exp, nu in tag.entries]
+
+
 class TestTwistTag:
     def test_inverse_cancels(self):
         t = TwistTag((("rho", 1, h(2)),))
@@ -210,6 +237,17 @@ class TestTwistTag:
     @given(twist_entries, twist_entries, twist_entries)
     def test_associative(self, t1, t2, t3):
         assert t1.merge(t2).merge(t3) == t1.merge(t2.merge(t3))
+
+    @given(raw_entries, raw_entries, st.sets(st.sampled_from(["a", "b", "c", "a~"])))
+    def test_group_law_matches_a_plain_oracle(self, raw1, raw2, names):
+        # A tag keeps no nu sum of a dropped name, so the operations are
+        # checked against the law applied to the tags' own entries.
+        t1, t2 = TwistTag(raw1), TwistTag(raw2)
+        assert law_of(t1) == group_law(raw1)
+        assert law_of(t1.merge(t2)) == group_law(t1.entries + t2.entries)
+        assert law_of(t1.inverse()) == group_law((n, -e, -nu) for n, e, nu in t1.entries)
+        assert law_of(t1.without(names)) == group_law(
+            e for e in t1.entries if e[0] not in names)
 
     @given(twist_entries)
     def test_group_inverse(self, t):
@@ -306,6 +344,12 @@ class TestRegistry:
             reg.gl(None)
         with pytest.raises(KindMismatchError, match=r"LabelRegistry.gu needs str, got \['x'\]"):
             reg.gu(["x"])
+
+    def test_reducibility_as_pairs(self):
+        rho = CuspidalGLLabel("rho")
+        label = LabelRegistry().declare_gu("sigma", 1, [(rho, 1)], [rho])
+        assert dict(label.reducibility) == {rho: HalfInt(1)}
+        assert label.twist_fixed == frozenset({rho})
 
     def test_gu_conflict(self):
         reg = LabelRegistry()

@@ -81,6 +81,17 @@ BAD_INPUTS = {
     "declare_gu str reducibility": (
         lambda: LabelRegistry().declare_gu("s", reducibility={"rho": 1}),
         KindMismatchError, "'s'"),
+    "gu text reducibility": (lambda: GUCuspidalLabel("s", 0, "x"),
+                             KindMismatchError, "reducibility needs a mapping"),
+    "gu float reducibility": (lambda: GUCuspidalLabel("s", 0, 1.5),
+                              KindMismatchError, "reducibility needs a mapping"),
+    "declare_gu text reducibility": (lambda: LabelRegistry().declare_gu("s", 0, "x"),
+                                     KindMismatchError, "reducibility needs a mapping"),
+    "declare_gu int twist_fixed": (lambda: LabelRegistry().declare_gu("s", 0, None, 5),
+                                   KindMismatchError, "twist_fixed needs an iterable"),
+    "declare_gu none twist_fixed": (
+        lambda: LabelRegistry().declare_gu("s", 0, None, twist_fixed=None),
+        KindMismatchError, "twist_fixed needs an iterable"),
     "gu class str anchor": (lambda: GUClass([], "sigma"),
                             KindMismatchError, "GUCuspidalLabel"),
     "gu class str twist": (lambda: GUClass([], SIGMA, "w_rho"),
