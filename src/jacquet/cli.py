@@ -29,13 +29,10 @@ import json
 import re
 import sys
 
+# The engine modules are imported inside the commands that run them, so
+# a command loads and compiles only its own modules.
 from .errors import JacquetError, UnknownLabelError
-from .expressions import Expression, parse_expression, parse_tensor_target, target_term
-from .grothendieck import FormalSum, GUClass
 from .scalars import DUAL_MARKER, GroupMode, HalfInt, LabelRegistry
-from .spclassifier import enumerate_sp, lj_from_obj, validate_lj
-from .structure import _coefficient, jacquet_by_shape, mstar_big, mu_star
-from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
 
 __all__ = ["main", "run_command", "load_declarations", "make_resolvers"]
 
@@ -141,6 +138,8 @@ def _registry_for(args) -> tuple:
 def _anchored(args) -> tuple:
     """(expression, GL resolver, GU resolver) for ``args.expr``, which the
     command needs to be anchored."""
+    from .expressions import parse_expression
+
     gl, gu = _registry_for(args)
     expr = parse_expression(args.expr, gl, gu)
     if expr.gu_anchor is None:
@@ -186,6 +185,8 @@ def _terms_text(s: FormalSum) -> str:
     sum as it sits in a report: terms at indent 4, factors at 8, segments at
     12.  Each distinct segment and factor is rendered once; an anchor's memo
     key adds its twist's entries, whose printed ``nu`` sums ``key`` omits."""
+    from .grothendieck import GUClass
+
     segments: dict = {}
     factors: dict = {}
 
@@ -251,6 +252,8 @@ def _sum_report(args, command: str, expr: Expression, result: FormalSum,
 
 
 def _cmd_mustar(args) -> int:
+    from .structure import mu_star
+
     expr, _, _ = _anchored(args)
     result = mu_star(expr.gu_class(), _mode(args))
     _sum_report(args, "mustar", expr, result)
@@ -258,6 +261,9 @@ def _cmd_mustar(args) -> int:
 
 
 def _cmd_mstar(args) -> int:
+    from .expressions import parse_expression
+    from .structure import mstar_big
+
     gl, gu = _registry_for(args)
     expr = parse_expression(args.expr, gl, gu)
     result = mstar_big(expr.gl_monomial())
@@ -266,6 +272,8 @@ def _cmd_mstar(args) -> int:
 
 
 def _cmd_jacquet(args) -> int:
+    from .structure import jacquet_by_shape
+
     expr, _, _ = _anchored(args)
     shape = _parse_shape(args.shape)
     result = jacquet_by_shape(expr.gu_class(), shape, _mode(args))
@@ -274,6 +282,9 @@ def _cmd_jacquet(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    from .expressions import parse_tensor_target, target_term
+    from .structure import _coefficient
+
     expr, gl, gu = _anchored(args)
     shape = _parse_shape(args.shape)
     parts, anchor = parse_tensor_target(args.term, gl, gu)
@@ -302,6 +313,8 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
+    from .weyl import brute_force_coset_reps, enumerate_geom_params, q_rep
+
     params_list = enumerate_geom_params(args.n, args.i1, args.i2)
     reps = [q_rep(params) for params in params_list]
     entries = [{
@@ -349,6 +362,8 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_enum_sp(args) -> int:
+    from .spclassifier import enumerate_sp
+
     gl, gu = _registry_for(args)
     sigma = gu(args.sigma)
     rhos = [gl(name) for name in map(str.strip, args.rhos.split(",")) if name]
@@ -372,6 +387,8 @@ def _cmd_enum_sp(args) -> int:
 
 
 def _cmd_check_lj(args) -> int:
+    from .spclassifier import lj_from_obj, validate_lj
+
     gl, gu = _registry_for(args)
     try:
         with open(args.datum, encoding="utf-8") as handle:

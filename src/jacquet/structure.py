@@ -57,7 +57,9 @@ keyed on (id tuple, remaining blocks, wanted blocks or None), a
 coefficient asking for the target's blocks alone.  ``mstar_gl``,
 ``mstar_big`` and ``jacquet_by_shape`` cut, merge and build their output
 in one loop, ``_BlockCutter.build``.  Every fold step, split and output
-checks JACQUET_MAX_TERMS as each new term enters it.
+checks JACQUET_MAX_TERMS as each new term enters it, and a full fold
+first refuses a step that is bound to pass it, before building any table
+(``_refuse_runaway``).
 
 ``_collector_paused`` pauses Python's cyclic garbage collector for the
 length of the three calls whose output grows with the answer: ``_fold``,
@@ -193,6 +195,31 @@ def _cuts(seg: Segment) -> tuple:
     return found
 
 
+def _refuse_runaway(segments, layer: str, cap: int) -> None:
+    """Raise, before any ``_cuts`` table is built, the ``TermLimitError``
+    that a full ``_fold`` of ``segments`` is bound to raise at a step.
+
+    A segment of length n has (n+1)(n+2)/2 M* terms, so the steps before
+    a segment hold at most the product of their counts.  From any one term,
+    a step makes that many distinct terms but for the pairs i <-> a+b-1-i
+    of terms d([a,i])^dual (x) d([i+1,b]) with an empty third piece, which
+    can coincide when a = -b (a self-dual label, and in U mode or over an
+    anchor that fixes the label's twist); so it makes at least
+    (n+1)(n+2)/2 - (n+1)//2.  At the first step that makes more than
+    ``cap`` that way while the product before it is at most ``cap``, the
+    fold raises this same error; an input the fold can finish is never
+    refused.
+    """
+    before = 1
+    for s in segments:
+        count = (s.length + 1) * (s.length + 2) // 2
+        if count - (s.length + 1) // 2 > cap:
+            raise _over_cap(f"{layer}: folding {s}, partial sum", cap + 1, cap)
+        before *= count
+        if before > cap:
+            return
+
+
 def _numbering(segments) -> tuple:
     """(segments, keys, ids) of the distinct ``segments`` in canonical key
     order: id i is ``segments[i]``, with key ``keys[i]``, and ``ids`` maps
@@ -274,10 +301,14 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     M* terms are walked outer and the accumulator inner, and a merged term
     keeps the first term built, so the nu a merged twist shows follows the
     segment order, in the slice too.  A ``TermLimitError`` names ``layer``
-    as soon as a step grows past the cap.
+    as soon as a step grows past the cap; without ``rank`` and ``keep``,
+    before any ``_cuts`` table is built for a step bound to.
     """
     if not segments:
         return FormalSum.of(TensorTerm((GLMonomial(), GUClass((), sigma, twist))))
+    cap = _max_terms()
+    if rank is None and keep is None:
+        _refuse_runaway(segments, layer, cap)
     twist = _absorb_fixed(sigma, twist)
     steps = [(s, [e for e in _cuts(s)[1] if keep is None or keep(e)]) for s in segments]
     segs, keys, ids = _numbering(p for _, entries in steps for second, third, dual, _ in entries
@@ -324,7 +355,6 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
                     reps.append(merged)
         return moved
 
-    cap = _max_terms()
     for (what, plan), later in zip(plans[:-1], reach[1:]):
         nxt: dict = {}
         size = 0          # terms in nxt

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import threading
+import time
 import types
 
 import pytest
@@ -548,6 +549,62 @@ class TestFoldKernel:
             mu_star(g)
         assert str(err.value) == ("mu_star: folding d(0,2@rho), partial sum of 6 "
                                   "terms exceeds JACQUET_MAX_TERMS (5 terms)")
+
+    def test_runaway_fold_is_refused_before_its_tables(self, monkeypatch):
+        # 2,003,001 M* terms: the fold used to build their table, and a
+        # million terms, before the cap stopped it.
+        monkeypatch.delenv("JACQUET_MAX_TERMS", raising=False)
+        cached = len(structure._CUTS)
+        start = time.perf_counter()
+        with pytest.raises(TermLimitError) as err:
+            mu_star(GUClass([seg(RHO, 0, 1999)], SIGMA))
+        assert time.perf_counter() - start < 0.5
+        assert len(structure._CUTS) == cached
+        assert str(err.value) == (
+            "mu_star: folding d(0,1999@rho), partial sum of 1000001 terms "
+            "exceeds JACQUET_MAX_TERMS (1000000 terms)")
+
+    # (segments, anchor, mode, cap) -> the term count or the error text,
+    # as the fold gave them before runaway folds were refused up front:
+    # rows the early refusal raises, rows the fold raises itself, and rows
+    # whose terms fit a cap below the segment's M* count, since terms of
+    # d(-a,a) coincide in U mode or over an anchor that fixes rho's twist.
+    TAU = GUCuspidalLabel("tau", twist_fixed={RHO})
+    CAP_ROWS = [
+        ([seg(RHO, 0, 0), seg(RHO, 0, 4)], SIGMA, "GU", 15,
+         "folding d(0,4@rho), partial sum of 16 terms"),
+        ([seg(RHO, 0, 1), seg(RHO, -2, 2)], SIGMA, "U", 6,
+         "folding d(-2,2@rho), partial sum of 7 terms"),
+        ([seg(RHO, 0, 0), seg(RHO, 1, 1), seg(RHO, 0, 5)], SIGMA, "GU", 8,
+         "folding d(0,5@rho), partial sum of 9 terms"),
+        ([seg(RHO, 0, 0), seg(RHO, 1, 1), seg(RHO, 0, 5)], SIGMA, "U", 27,
+         "folding d(0,5@rho), partial sum of 28 terms"),
+        ([seg(CHI, 0, 1), seg(RHO, 0, 3)], SIGMA, "GU", 5,
+         "folding d(0,1@chi), partial sum of 6 terms"),
+        ([seg(CHI, 0, 1), seg(RHO, 0, 3)], SIGMA, "GU", 14,
+         "folding d(0,3@rho), partial sum of 15 terms"),
+        ([seg(RHO, -1, 1)], SIGMA, "GU", 9, "folding d(-1,1@rho), partial sum of 10 terms"),
+        ([seg(RHO, -1, 1)], SIGMA, "U", 8, 8),
+        ([seg(RHO, -1, 1)], TAU, "GU", 8, 8),
+        ([seg(RHO, -1, 1)], TAU, "GU", 6, "folding d(-1,1@rho), partial sum of 7 terms"),
+        ([seg(RHO, -1, 1)] * 2, TAU, "U", 9, "folding d(-1,1@rho), partial sum of 10 terms"),
+        ([seg(RHO, -2, 2)], SIGMA, "U", 17, "folding d(-2,2@rho), partial sum of 18 terms"),
+        ([seg(RHO, -2, 2)], SIGMA, "U", 18, 18),
+        ([seg(RHO, -2, 2)], SIGMA, "GU", 18, "folding d(-2,2@rho), partial sum of 19 terms"),
+    ]
+
+    @pytest.mark.parametrize("segments, sigma, mode, cap, expected", CAP_ROWS)
+    def test_small_caps_give_the_fold_outcome(self, monkeypatch, segments, sigma, mode,
+                                              cap, expected):
+        monkeypatch.setenv("JACQUET_MAX_TERMS", str(cap))
+        g = GUClass(segments, sigma)
+        if isinstance(expected, int):
+            assert len(mu_star(g, GroupMode[mode])) == expected
+            return
+        with pytest.raises(TermLimitError) as err:
+            mu_star(g, GroupMode[mode])
+        assert str(err.value) == (
+            f"mu_star: {expected} exceeds JACQUET_MAX_TERMS ({cap} terms)")
 
     def test_term_cap_names_twisted_rtimes(self, monkeypatch):
         m = mstar_big(GLMonomial([seg(RHO, 0, 2), seg(RHO, 1, 3)]))
