@@ -325,7 +325,7 @@ class FormalSum(Keyed):
         return FormalSum._from_terms({t: -m for t, m in self._terms.items()})
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
+        if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
         if scalar == 0:
             return FormalSum.zero()

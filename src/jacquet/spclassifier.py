@@ -163,13 +163,7 @@ class LJValidation(Keyed):
 
 def _grid(a: HalfInt, max_b: HalfInt) -> list:
     """The admissible exponent values a - ceil(a), a - ceil(a) + 1, ..., <= max_b."""
-    lo = a - a.ceil()
-    out = []
-    t = lo.twice
-    while t <= max_b.twice:
-        out.append(HalfInt.from_twice(t))
-        t += 2
-    return out
+    return [HalfInt.from_twice(t) for t in range((a - a.ceil()).twice, max_b.twice + 1, 2)]
 
 
 def enumerate_jord(rho: CuspidalGLLabel, a: "HalfInt | int",
@@ -410,9 +404,9 @@ def enumerate_sp(labels: Sequence[CuspidalGLLabel], sigma: GUCuspidalLabel,
     reducibility 0 contribute nothing.  Output order is the lexicographic
     product order and is deterministic.  A label that is not a
     ``CuspidalGLLabel``, or an anchor that is not a ``GUCuspidalLabel``,
-    raises ``KindMismatchError``, as does a ``strict`` that is not a bool;
-    a repeated label, or a bound of another type, raises
-    ``InvalidDatumError``.
+    raises ``KindMismatchError``, as do a ``strict`` that is not a bool
+    and a bool bound (a bool is no int); a repeated label, or a bound of
+    another type, raises ``InvalidDatumError``.
     """
     labels = _checked("enumerate_sp", CuspidalGLLabel, labels)
     _checked("enumerate_sp", GUCuspidalLabel, (sigma,))

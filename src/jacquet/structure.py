@@ -34,27 +34,29 @@ reads the m* cuts, for ``jacquet_by_shape``, ``_coefficient``,
 ``mstar_gl`` and ``mstar_big`` alike.
 All functions are pure; the table only saves work.
 
-Both hot loops run on segment ids within one call, numbered by
-``_numbering`` in canonical key order, so a sorted id tuple is a
-canonical GL factor: its public form is read off by id and built once,
-through the trusted constructors of ``grothendieck`` (an anchor's key is
-laid out by ``GUClass._trusted`` alone).  ``mu_star`` and
-``_coefficient`` run one fold kernel, ``_fold``, which folds a class from
-its bare anchor: it numbers every segment its steps can produce and, at
-every step but the last, merges terms in a dict keyed by id tuples and an
-anchor id, one per anchor twist with its nu sums; terms equal up to nu
-merge only in the last step, by their public keys.  Asked for one GL
-rank, the fold computes first the reach of each step, the ranks the
-steps from it on can still add, keeps its terms in one bucket per GL
-rank, and skips every (M* entry, bucket) pair from which that rank is out
-of reach; only the rank asked for is ever built.  ``jacquet_by_shape``
-and ``_coefficient`` fold that way, at the shape's total rank.
-``_BlockCutter`` numbers, before any cut, the sub-segments of the given
-segments and of their duals: every piece a mu* GL factor or a cut of one
-can hold.  A segment's m* cuts become a table of (top rank, top ids,
-bottom ids) when first needed, and the per-call memo of block cuts is
-keyed on (id tuple, remaining blocks, wanted blocks or None), a
-coefficient asking for the target's blocks alone.  ``mstar_gl``,
+Both hot loops run on segment ids within one call, numbered by one
+rule, ``_numbering``: before any step or cut, the sub-segment closure of
+the call's segments (their sub-segments and the duals of those: every
+piece a mu* factor or a cut of one can hold) gets ids in canonical key
+order, so a sorted id tuple is a canonical GL factor: its public form is
+read off by id and built once, through the trusted constructors of
+``grothendieck`` (an anchor's key is laid out by ``GUClass._trusted``
+alone).  ``mu_star`` and ``_coefficient`` run one fold kernel, ``_fold``,
+which folds a class from its bare anchor in one loop over its steps.
+Each step walks its M* entries, moves the anchor twists by the entry's
+first piece, and pairs the entry with every bucket of terms so far from
+which the rank asked for is still in reach.  Every step but the last
+merges terms in a dict keyed by id tuples and an anchor id, one per
+anchor twist with its nu sums; the last builds the public terms and
+merges them by their public keys, so terms equal up to nu merge only
+there.  Asked for one GL rank, the fold computes first the reach of each
+step, the ranks the steps from it on can still add, and keeps its terms
+in one bucket per GL rank; only the rank asked for is ever built.
+``jacquet_by_shape`` and ``_coefficient`` fold that way, at the shape's
+total rank.  A segment's m* cuts become a ``_BlockCutter`` table of (top
+rank, top ids, bottom ids) when first needed, and the per-call memo of
+block cuts is keyed on (id tuple, remaining blocks, wanted blocks or
+None), a coefficient asking for the target's blocks alone.  ``mstar_gl``,
 ``mstar_big`` and ``jacquet_by_shape`` cut, merge and build their output
 in one loop, ``_BlockCutter.build``.  Every fold step, split and output
 checks JACQUET_MAX_TERMS as each new term enters it, and a full fold
@@ -221,10 +223,12 @@ def _refuse_runaway(segments, layer: str, cap: int) -> None:
 
 
 def _numbering(segments) -> tuple:
-    """(segments, keys, ids) of the distinct ``segments`` in canonical key
-    order: id i is ``segments[i]``, with key ``keys[i]``, and ``ids`` maps
-    a key to its id, so a sorted id tuple lists segments in that order."""
-    by_key = {s.key: s for s in segments}
+    """(pieces, keys, ids) of the sub-segment closure of ``segments``, the
+    ``_cuts`` sub-segments of each, in canonical key order: id i is
+    ``pieces[i]``, with key ``keys[i]``, and ``ids`` maps a key to its id,
+    so a sorted id tuple lists pieces in that order.  Every piece a mu* GL
+    factor, its anchor or a cut of either can hold has an id."""
+    by_key = {p.key: p for s in segments for p in _cuts(s)[2]}
     keys = sorted(by_key)
     return [by_key[k] for k in keys], keys, {k: i for i, k in enumerate(keys)}
 
@@ -280,16 +284,19 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     ``keep`` is true of, if given) with the terms so far: the dualized
     first and the second piece join the GL factor, the third the anchor,
     and in GU mode the first piece's twist twists the anchor.  Every
-    segment the fold can produce gets its ``_numbering`` id first, and
-    each anchor twist, nu sums included, a rep id.  Every step but the
-    last accumulates into a dict that maps (GL ids, GU ids, rep id) to a
-    multiplicity, so terms whose twists differ only in nu stay apart.  The
-    last step builds the public terms through the trusted constructors,
-    sharing each anchor factor among its terms, and merges them by their
-    public keys, which leave nu out.  An anchor's segment and key tuples
-    are built once per GU id tuple, for all its twists; a GL factor's key
-    tuple is also its part of the term key, and its merged ids stay a
-    sorted list, since they are only mapped to segments and keys.
+    piece has its ``_numbering`` id first, and each anchor twist, nu sums
+    included, a rep id.  One loop runs every step; a step maps each rep
+    id in its input to the rep id its first pieces' twists move it to,
+    once per twist.  Every step but the last accumulates into a dict that
+    maps (GL ids, GU ids, rep id) to a multiplicity, so terms whose
+    twists differ only in nu stay apart.  The last step differs only in
+    its per-term body: it builds the public terms through the trusted
+    constructors, sharing each anchor factor among its terms, and merges
+    them by their public keys, which leave nu out.  An anchor's segment
+    and key tuples are built once per GU id tuple, for all its twists; a
+    GL factor's key tuple is also its part of the term key, and its
+    merged ids stay a sorted list, since they are only mapped to segments
+    and keys.
 
     With ``rank``, only the terms whose GL factor has that rank are built.
     An M* term adds the rank of its dualized first and second pieces, so
@@ -310,9 +317,7 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     if rank is None and keep is None:
         _refuse_runaway(segments, layer, cap)
     twist = _absorb_fixed(sigma, twist)
-    steps = [(s, [e for e in _cuts(s)[1] if keep is None or keep(e)]) for s in segments]
-    segs, keys, ids = _numbering(p for _, entries in steps for second, third, dual, _ in entries
-                                 for p in dual + second + third)
+    segs, keys, ids = _numbering(segments)
 
     def id_tuple(pieces) -> tuple:
         return tuple(ids[p.key] for p in pieces)
@@ -323,8 +328,9 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     plans = [(f"{layer}: folding {s}, partial sum",    # what a TermLimitError names
               [(id_tuple(dual + second), id_tuple(third), omega if twists else None,
                 sum(p.rank for p in dual + second) if ranked else None)
-               for second, third, dual, omega in entries])
-             for s, entries in steps]
+               for second, third, dual, omega in _cuts(s)[1]
+               if keep is None or keep((second, third, dual, omega))])
+             for s in segments]
     # reach[i]: the GL ranks steps i, i+1, ... can still add, for i >= 1;
     # None without ``rank``
     reach: list = [None] * (len(plans) + 1)
@@ -337,30 +343,29 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
     reps = [twist]                    # rep id -> anchor twist
     rep_ids = {twist.entries: 0}      # twist entries -> rep id
     acc = {0 if ranked else None: {((), (), 0): 1}}    # GL rank or None -> bucket
-
-    def mover(omega, moved_by: dict):
-        """rep id -> rep id once the twist ``omega`` of a first piece has
-        twisted the anchor, or None when there is none; ``moved_by``
-        caches it for one step."""
-        if omega is None:
-            return None
-        moved = moved_by.get(omega.entries)
-        if moved is None:
-            moved = moved_by[omega.entries] = {}
-            omega = _absorb_fixed(sigma, omega)    # no anchor twist holds a fixed label
-            for rid in {rid for bucket in acc.values() for _, _, rid in bucket}:
-                merged = reps[rid].merge(omega)
-                new = moved[rid] = rep_ids.setdefault(merged.entries, len(reps))
-                if new == len(reps):
-                    reps.append(merged)
-        return moved
-
-    for (what, plan), later in zip(plans[:-1], reach[1:]):
+    seg_at, key_at = segs.__getitem__, keys.__getitem__
+    new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
+    anchors: dict = {}    # GU ids -> (segments, their keys)
+    gus: dict = {}        # (GU ids, rep id) -> GUClass
+    last = len(plans) - 1
+    for step, ((what, plan), later) in enumerate(zip(plans, reach[1:])):
+        public = step == last
+        rids = {rid for bucket in acc.values() for _, _, rid in bucket} if twists else ()
+        moved_by: dict = {}   # twist entries -> {rep id: rep id once twisted}
         nxt: dict = {}
-        size = 0          # terms in nxt
-        moved_by: dict = {}
+        size = 0              # terms in nxt
         for low, mid, omega, r in plan:
-            moved = mover(omega, moved_by)
+            moved = None
+            if omega is not None:
+                moved = moved_by.get(omega.entries)
+                if moved is None:
+                    moved = moved_by[omega.entries] = {}
+                    omega = _absorb_fixed(sigma, omega)    # no anchor twist holds a fixed label
+                    for rid in rids:
+                        merged = reps[rid].merge(omega)
+                        new = moved[rid] = rep_ids.setdefault(merged.entries, len(reps))
+                        if new == len(reps):
+                            reps.append(merged)
             for total, bucket in acc.items():
                 if later is not None:
                     total += r
@@ -372,51 +377,32 @@ def _fold(segments, sigma: GUCuspidalLabel, twist: TwistTag, mode: GroupMode,
                 for (gl, gu, rid), ct in bucket.items():
                     if moved is not None:
                         rid = moved[rid]
-                    key = (tuple(sorted(low + gl)), tuple(sorted(mid + gu)), rid)
-                    old = into.get(key)
-                    if old is None:
-                        into[key] = ct
+                    gl, gu = sorted(low + gl), tuple(sorted(mid + gu))
+                    if public:
+                        gl_key = tuple(map(key_at, gl))
+                        twisted = (gu, rid)
+                        gu_factor = gus.get(twisted)
+                        if gu_factor is None:
+                            anchor = anchors.get(gu)
+                            if anchor is None:
+                                anchor = anchors[gu] = (tuple(map(seg_at, gu)),
+                                                        tuple(map(key_at, gu)))
+                            gu_factor = gus[twisted] = new_gu(anchor[0], sigma, reps[rid],
+                                                              anchor[1])
+                        key = new_term((new_gl(tuple(map(seg_at, gl)), gl_key), gu_factor),
+                                       (gl_key, gu_factor.key))
+                    else:
+                        key = (tuple(gl), gu, rid)
+                    n = len(into)
+                    old = into.setdefault(key, ct)
+                    if len(into) == n:
+                        into[key] = old + ct
+                    else:
                         size += 1
                         if size > cap:
                             raise _over_cap(what, size, cap)
-                    else:
-                        into[key] = old + ct
         acc = nxt
-
-    what, plan = plans[-1]
-    seg_at, key_at = segs.__getitem__, keys.__getitem__
-    new_gl, new_gu, new_term = GLMonomial._trusted, GUClass._trusted, TensorTerm._trusted
-    anchors: dict = {}    # GU ids -> (segments, their keys)
-    gus: dict = {}        # (GU ids, rep id) -> GUClass
-    moved_by = {}
-    out: dict = {}
-    for low, mid, omega, r in plan:
-        bucket = acc.get(rank - r if ranked else None)
-        if bucket is None:
-            continue
-        moved = mover(omega, moved_by)
-        for (gl, gu, rid), ct in bucket.items():
-            if moved is not None:
-                rid = moved[rid]
-            gl = sorted(low + gl)
-            gl_key = tuple(map(key_at, gl))
-            gl_factor = new_gl(tuple(map(seg_at, gl)), gl_key)
-            gu = (tuple(sorted(mid + gu)), rid)
-            gu_factor = gus.get(gu)
-            if gu_factor is None:
-                ids = gu[0]
-                anchor = anchors.get(ids)
-                if anchor is None:
-                    anchor = anchors[ids] = (tuple(map(seg_at, ids)), tuple(map(key_at, ids)))
-                gu_factor = gus[gu] = new_gu(anchor[0], sigma, reps[rid], anchor[1])
-            term = new_term((gl_factor, gu_factor), (gl_key, gu_factor.key))
-            size = len(out)
-            old = out.setdefault(term, ct)
-            if len(out) == size:
-                out[term] = old + ct
-            elif size >= cap:
-                raise _over_cap(what, size + 1, cap)
-    return FormalSum._from_terms(out)
+    return FormalSum._from_terms(acc.get(rank, {}))
 
 
 def twisted_rtimes(m: FormalSum, t: FormalSum, mode: GroupMode) -> FormalSum:
@@ -505,8 +491,7 @@ class _BlockCutter:
 
     def __init__(self, segments, what: str):
         self.cap, self.what = _max_terms(), what
-        self.segments, self.keys, self.ids = _numbering(
-            p for s in segments for p in _cuts(s)[2])
+        self.segments, self.keys, self.ids = _numbering(segments)
         self.tables: list = [None] * len(self.segments)  # segment id -> cut table
         self.block_ids: dict = {}  # id tuple -> block id
         self.memo: dict = {}
@@ -719,14 +704,7 @@ def _coefficient(g: GUClass, shape, target, mode: GroupMode = GroupMode.GU) -> i
         second, third, dual, _ = entry
         if third and third[0].key not in on_anchor:
             return False
-        need: dict = {}
-        for p in dual + second:
-            name = p.rho.name
-            for e in range(p.a.twice, p.b.twice + 1, 2):
-                n = need[name, e] = need.get((name, e), 0) + 1
-                if n > support.get((name, e), 0):
-                    return False
-        return True
+        return all(n <= support.get(k, 0) for k, n in _exponents(dual + second).items())
 
     folded = _fold(g.segments, g.sigma, g.twist, mode, "coefficient", sum(shape), fits)
     id_of, out = ids.__getitem__, 0

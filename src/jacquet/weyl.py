@@ -297,11 +297,19 @@ def brute_force_coset_reps(n: int, i1: int, i2: int) -> frozenset:
 
 
 class LeviBlock(Keyed):
-    """One GL block of a Levi tuple, with dual/twist marks."""
+    """One GL block of a Levi tuple, with dual/twist marks.
+
+    A ``size`` that is not an int (a bool included), or a ``dual`` or
+    ``twisted`` mark that is not a bool, raises ``KindMismatchError``; the
+    label is taken as given, and ``levi_action`` checks that the size is
+    positive.
+    """
 
     __slots__ = ("label", "size", "dual", "twisted", "key")
 
     def __init__(self, label: str, size: int, dual: bool = False, twisted: bool = False):
+        _checked("LeviBlock size", int, (size,))
+        _checked("LeviBlock marks", bool, (dual, twisted))
         self._fill(label, size, dual, twisted, (label, size, dual, twisted))
 
     def flipped(self, with_twist: bool) -> "LeviBlock":

@@ -103,6 +103,15 @@ def test_sum_identity_and_scalars():
     assert 3 * x == FormalSum.of(GLMonomial([S1]), 6)
 
 
+def test_bool_is_no_sum_scalar():
+    # A bool is no multiplicity (FormalSum refuses one), so no scalar either.
+    x = FormalSum.of(GLMonomial([S1]), 2)
+    with pytest.raises(TypeError):
+        True * x
+    with pytest.raises(TypeError):
+        x * False
+
+
 def test_kind_mismatch():
     glsum = FormalSum.of(GLMonomial([S1]))
     gusum = FormalSum.of(GUClass([S1], SIGMA))

@@ -353,6 +353,18 @@ class TestLeviAction:
         with pytest.raises(KindMismatchError, match=message):
             levi_action(w, blocks)
 
+    @pytest.mark.parametrize("args, message", [
+        (("g", "2"), "LeviBlock size needs int, got '2'"),
+        (("g", 1.5), "LeviBlock size needs int, got 1.5"),
+        (("g", None), "LeviBlock size needs int, got None"),
+        (("g", True), "LeviBlock size needs int, got True"),
+        (("g", 1, 1), "LeviBlock marks needs bool, got 1"),
+        (("g", 1, False, "yes"), "LeviBlock marks needs bool, got 'yes'"),
+    ], ids=["str size", "float size", "None size", "bool size", "int dual", "str twisted"])
+    def test_block_fields_checked(self, args, message):
+        with pytest.raises(KindMismatchError, match=message):
+            LeviBlock(*args)
+
     @pytest.mark.parametrize("dual, twisted, text", [
         (False, False, "g"), (True, False, "g^"), (False, True, "g*"), (True, True, "g^*"),
     ])
